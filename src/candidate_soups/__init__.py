@@ -21,7 +21,6 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
-    make_candidate,
     remove_adjacent_duplicates,
     validate,
 )
@@ -58,7 +57,6 @@ from .scoring import (
     npd_select,
     rescore_set,
     save_ngram,
-    self_scorer,
     train_ngram,
 )
 from .synth import NoiseConfig, generate_candidates, generate_corpus
@@ -105,7 +103,6 @@ __all__ = [
     "generate_candidates",
     "generate_corpus",
     "load_ngram",
-    "make_candidate",
     "ngram_score",
     "npd_select",
     "oracle_best",
@@ -116,7 +113,6 @@ __all__ = [
     "remove_adjacent_duplicates",
     "save_ngram",
     "select_segment",
-    "self_scorer",
     "train_ngram",
     "validate",
 ]

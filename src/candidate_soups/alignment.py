@@ -14,11 +14,14 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterator, Union
 
 from .candidates import CandidateSet
 
 PointerVector = tuple[int, ...]
+
+_END = object()  # stands past the last token of a candidate
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,11 @@ def find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
     seqs = [c.tokens for c in cset.candidates]
     k = len(seqs)
     lens = [len(s) for s in seqs]
+    # a window that starts at its candidate's end never grows, so no token
+    # can ever be seen in every window
+    for p, n in zip(start, lens):
+        if p >= n:
+            return None
     # first_seen[j] maps token -> earliest absolute index in candidate j's window
     first_seen: list[dict[str, int]] = [{} for _ in range(k)]
     window_count: dict[str, int] = {}
@@ -102,14 +110,16 @@ def find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
             frontier[j] += 1
             grew = True
         if qualified:
-            best = min(
-                qualified,
-                key=lambda t: (
-                    sum(first_seen[j][t] - start[j] for j in range(k)),
-                    first_seen[0][t],
-                ),
-            )
-            return Anchor(best, tuple(first_seen[j][best] for j in range(k)))
+            best = qualified[0]
+            if len(qualified) > 1:
+                best = min(
+                    qualified,
+                    key=lambda t: (
+                        sum(first_seen[j][t] - start[j] for j in range(k)),
+                        first_seen[0][t],
+                    ),
+                )
+            return Anchor(best, tuple([fs[best] for fs in first_seen]))
     return None
 
 
@@ -124,22 +134,25 @@ def partition(cset: CandidateSet) -> AlignedPartition:
     """
     seqs = [c.tokens for c in cset.candidates]
     k = len(seqs)
-    lens = [len(s) for s in seqs]
-    pointers = [0] * k
+    lens = tuple(len(s) for s in seqs)
+    # a sentinel past each end is the head of an exhausted candidate
+    padded = [s + (_END,) for s in seqs]
+    pointers = (0,) * k
     elements: list[PartitionElement] = []
 
-    while any(pointers[j] < lens[j] for j in range(k)):
-        in_bounds = all(pointers[j] < lens[j] for j in range(k))
-        if in_bounds:
-            head = seqs[0][pointers[0]]
-            if all(seqs[j][pointers[j]] == head for j in range(1, k)):
-                elements.append(Anchor(head, tuple(pointers)))
-                pointers = [p + 1 for p in pointers]
-                continue
-        nxt = find_next_anchor(cset, tuple(pointers))
-        end = nxt.positions if nxt is not None else tuple(lens)
-        segments = tuple(tuple(seqs[j][pointers[j] : end[j]]) for j in range(k))
-        elements.append(DivergenceRegion(tuple(pointers), end, segments))
-        pointers = list(end)
+    while k:  # a set without candidates has no elements
+        heads = list(map(getitem, padded, pointers))
+        head = heads[0]
+        if heads.count(head) == k:
+            if head is _END:  # every pointer is at its candidate's end
+                break
+            elements.append(Anchor(head, pointers))
+            pointers = tuple([p + 1 for p in pointers])
+            continue
+        nxt = find_next_anchor(cset, pointers)
+        end = nxt.positions if nxt is not None else lens
+        segments = tuple([s[a:b] for s, a, b in zip(seqs, pointers, end)])
+        elements.append(DivergenceRegion(pointers, end, segments))
+        pointers = end
 
     return AlignedPartition(tuple(elements))

@@ -12,8 +12,9 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 
@@ -33,7 +34,7 @@ class ScoredCandidate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -66,17 +67,13 @@ def remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
     element.  Relative order is preserved and the output never contains two
     adjacent equal tokens.  Idempotent.
     """
-    tokens: list[str] = []
-    scores: list[float] = []
-    for tok, score in zip(cand.tokens, cand.scores):
-        if tokens and tokens[-1] == tok:
-            scores[-1] = score
-        else:
-            tokens.append(tok)
-            scores.append(score)
-    if len(tokens) == len(cand.tokens):
+    tokens = cand.tokens
+    # keep[i]: token i ends its run (the next token differs, or there is none)
+    keep = list(map(ne, tokens, tokens[1:]))
+    if all(keep):
         return cand
-    return ScoredCandidate(tuple(tokens), tuple(scores))
+    keep.append(True)
+    return ScoredCandidate(tuple(compress(tokens, keep)), tuple(compress(cand.scores, keep)))
 
 
 _WHITESPACE = re.compile(r"\s")
@@ -85,6 +82,19 @@ _WHITESPACE = re.compile(r"\s")
 def _check_token(tok: str, where: str) -> None:
     if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
         raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
+
+
+def _check_tokens(tokens: tuple[str, ...], where: str) -> None:
+    # Fast path: str.split() and re's \s agree on what whitespace is, and
+    # splitting yields only non-empty, whitespace-free pieces, so the round
+    # trip is lossless exactly when every token is valid.
+    try:
+        if " ".join(tokens).split() == list(tokens):
+            return
+    except TypeError:  # a token that is not a string
+        pass
+    for tok in tokens:
+        _check_token(tok, where)
 
 
 def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> CandidateSet:
@@ -103,8 +113,7 @@ def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> Ca
     if not cset.candidates:
         raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
     if cset.source is not None:
-        for tok in cset.source:
-            _check_token(tok, f"set {cset.id!r} source")
+        _check_tokens(cset.source, f"set {cset.id!r} source")
 
     clamped = 0
     out: list[ScoredCandidate] = []
@@ -116,8 +125,11 @@ def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> Ca
             raise LengthMismatch(
                 f"{where}: {len(cand.tokens)} tokens vs {len(cand.scores)} scores"
             )
-        for tok in cand.tokens:
-            _check_token(tok, where)
+        _check_tokens(cand.tokens, where)
+        scores = cand.scores
+        if max(scores) <= 0 and min(scores) >= score_floor and not any(map(math.isnan, scores)):
+            out.append(cand)
+            continue
         fixed: list[float] = []
         touched = False
         for score in cand.scores:
@@ -138,7 +150,3 @@ def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> Ca
         return CandidateSet(cset.id, tuple(out), cset.source)
     return cset
 
-
-def make_candidate(tokens: Sequence[str], scores: Sequence[float]) -> ScoredCandidate:
-    """Convenience constructor accepting any sequences."""
-    return ScoredCandidate(tuple(tokens), tuple(scores))

@@ -5,7 +5,9 @@ are processed one line at a time (no whole-file buffering) and output order
 matches input order.  Per-line failures are reported to stderr as JSON
 lines ``{"line": N, "error": "..."}``; the process exits 0 on success, 1
 when any line failed, 2 on usage errors.  The environment variable
-``CDS_SCORE_FLOOR`` overrides the default score floor.
+``CDS_SCORE_FLOOR`` overrides the default score floor; a value that is not
+a finite number <= 0 is a usage error.  Output is strict JSON (no NaN or
+Infinity).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -45,9 +48,21 @@ from .scoring import (
 from .synth import NoiseConfig, generate_candidates
 
 
+class UsageError(Exception):
+    """Bad configuration: reported once, before any input is read, with exit 2."""
+
+
 def _score_floor() -> float:
     raw = os.environ.get("CDS_SCORE_FLOOR")
-    return float(raw) if raw else DEFAULT_SCORE_FLOOR
+    if not raw:
+        return DEFAULT_SCORE_FLOOR
+    try:
+        floor = float(raw)
+    except ValueError:
+        floor = math.nan
+    if not (-math.inf < floor <= 0):
+        raise UsageError(f"CDS_SCORE_FLOOR must be a finite number <= 0, got {raw!r}")
+    return floor
 
 
 def _make_scorer(selector: str, score_floor: float) -> Scorer:
@@ -102,7 +117,7 @@ def fusion_record(ident: str, result: FusionResult, method: str, with_trace: boo
 
 
 def _dump(obj: dict, out: IO[str]) -> None:
-    out.write(json.dumps(obj, ensure_ascii=False))
+    out.write(json.dumps(obj, ensure_ascii=False, allow_nan=False))
     out.write("\n")
 
 
@@ -480,6 +495,9 @@ def main(
     logger.addHandler(handler)
     try:
         return args.handler(args, stdin, stdout, stderr)
+    except UsageError as exc:
+        _diagnostic(stderr, 0, str(exc))
+        return 2
     except (CdsError, OSError, ValueError) as exc:
         _diagnostic(stderr, 0, str(exc))
         return 1

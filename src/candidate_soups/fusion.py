@@ -51,11 +51,13 @@ def region_score(
     It is never empty (it always contains at least one anchor or one token).
     """
     j = cand_index
-    cand_scores = scores[j]
-    lo = max(0, region.start[j] - 1)
-    hi = min(len(cand_scores), region.end[j] + 1)
-    window = cand_scores[lo:hi]
+    window = _window(scores[j], region.start[j], region.end[j])
     return math.fsum(window) / len(window)
+
+
+def _window(cand_scores: Sequence[float], start: int, end: int) -> Sequence[float]:
+    # slicing clamps the upper bound to the sequence end
+    return cand_scores[start - 1 if start else 0 : end + 1]
 
 
 def select_segment(
@@ -64,8 +66,9 @@ def select_segment(
     region_index: int = 0,
 ) -> RegionChoice:
     """Pick the candidate whose window mean is highest; ties go to the lowest index."""
-    segment_scores = tuple(region_score(j, region, scores) for j in range(len(region.segments)))
-    chosen = max(range(len(segment_scores)), key=lambda j: (segment_scores[j], -j))
+    windows = map(_window, scores, region.start, region.end)
+    segment_scores = tuple([math.fsum(w) / len(w) for w in windows])
+    chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
     return RegionChoice(region_index, chosen, segment_scores, region.segments[chosen])
 
 

@@ -54,10 +54,6 @@ class SelfScorer(Scorer):
         return candidate.scores
 
 
-def self_scorer() -> Scorer:
-    return SelfScorer()
-
-
 @dataclass(frozen=True)
 class NGramModel:
     """Add-alpha-smoothed n-gram counts; immutable once trained.
@@ -208,7 +204,8 @@ def rescore_set(
                 f"set {cset.id!r} candidate {idx}: scorer returned {len(scores)} "
                 f"scores for {len(cand.tokens)} tokens"
             )
-        out.append(ScoredCandidate(cand.tokens, tuple(scores)))
+        # a scorer that hands back the stored scores leaves the candidate as is
+        out.append(cand if scores is cand.scores else ScoredCandidate(cand.tokens, tuple(scores)))
     return CandidateSet(cset.id, tuple(out), cset.source)
 
 

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+import logging
+import math
 import random
+import re
 
-from candidate_soups import CandidateSet, ScoredCandidate
+from candidate_soups import (
+    DEFAULT_SCORE_FLOOR,
+    AlignedPartition,
+    Anchor,
+    CandidateSet,
+    DivergenceRegion,
+    EmptyCandidate,
+    FusionResult,
+    InvalidToken,
+    LengthMismatch,
+    PointerVector,
+    PositiveScore,
+    RegionChoice,
+    ScoredCandidate,
+)
 
 # --- two candidates whose errors sit in opposite halves -------------------
 # Candidate 0 garbles "required"; candidate 1 garbles "costs".  Error tokens
@@ -134,3 +151,165 @@ def dedup_by_runs(tokens, scores):
         out_scores.append(scores[j])  # last occurrence of the run
         i = j + 1
     return out_tokens, out_scores
+
+
+# --- frozen reference implementations --------------------------------------
+# Verbatim copies of the straightforward per-token versions of the hot path.
+# The library's versions are optimized; property tests check that both give
+# equal results, so these must not be "improved".
+
+
+def reference_remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
+    tokens: list[str] = []
+    scores: list[float] = []
+    for tok, score in zip(cand.tokens, cand.scores):
+        if tokens and tokens[-1] == tok:
+            scores[-1] = score
+        else:
+            tokens.append(tok)
+            scores.append(score)
+    if len(tokens) == len(cand.tokens):
+        return cand
+    return ScoredCandidate(tuple(tokens), tuple(scores))
+
+
+_WHITESPACE = re.compile(r"\s")
+
+
+def _reference_check_token(tok: str, where: str) -> None:
+    if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
+        raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
+
+
+def reference_validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> CandidateSet:
+    if not cset.candidates:
+        raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
+    if cset.source is not None:
+        for tok in cset.source:
+            _reference_check_token(tok, f"set {cset.id!r} source")
+
+    clamped = 0
+    out: list[ScoredCandidate] = []
+    for idx, cand in enumerate(cset.candidates):
+        where = f"set {cset.id!r} candidate {idx}"
+        if not cand.tokens:
+            raise EmptyCandidate(f"{where} has no tokens")
+        if len(cand.tokens) != len(cand.scores):
+            raise LengthMismatch(
+                f"{where}: {len(cand.tokens)} tokens vs {len(cand.scores)} scores"
+            )
+        for tok in cand.tokens:
+            _reference_check_token(tok, where)
+        fixed: list[float] = []
+        touched = False
+        for score in cand.scores:
+            if math.isnan(score) or score > 0:
+                raise PositiveScore(f"{where}: score {score!r} must be <= 0")
+            if score < score_floor:
+                fixed.append(score_floor)
+                touched = True
+                clamped += 1
+            else:
+                fixed.append(score)
+        out.append(ScoredCandidate(cand.tokens, tuple(fixed)) if touched else cand)
+
+    if clamped:
+        logging.getLogger("candidate_soups.candidates").warning(
+            "clamped %d score(s) below %s in candidate set %s", clamped, score_floor, cset.id
+        )
+        return CandidateSet(cset.id, tuple(out), cset.source)
+    return cset
+
+
+def reference_find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
+    seqs = [c.tokens for c in cset.candidates]
+    k = len(seqs)
+    lens = [len(s) for s in seqs]
+    # first_seen[j] maps token -> earliest absolute index in candidate j's window
+    first_seen: list[dict[str, int]] = [{} for _ in range(k)]
+    window_count: dict[str, int] = {}
+    frontier = list(start)
+
+    grew = True
+    while grew:
+        grew = False
+        qualified: list[str] = []
+        for j in range(k):
+            if frontier[j] >= lens[j]:
+                continue
+            tok = seqs[j][frontier[j]]
+            seen = first_seen[j]
+            if tok not in seen:
+                seen[tok] = frontier[j]
+                count = window_count.get(tok, 0) + 1
+                window_count[tok] = count
+                if count == k:
+                    qualified.append(tok)
+            frontier[j] += 1
+            grew = True
+        if qualified:
+            best = min(
+                qualified,
+                key=lambda t: (
+                    sum(first_seen[j][t] - start[j] for j in range(k)),
+                    first_seen[0][t],
+                ),
+            )
+            return Anchor(best, tuple(first_seen[j][best] for j in range(k)))
+    return None
+
+
+def reference_partition(cset: CandidateSet) -> AlignedPartition:
+    seqs = [c.tokens for c in cset.candidates]
+    k = len(seqs)
+    lens = [len(s) for s in seqs]
+    pointers = [0] * k
+    elements: list = []
+
+    while any(pointers[j] < lens[j] for j in range(k)):
+        in_bounds = all(pointers[j] < lens[j] for j in range(k))
+        if in_bounds:
+            head = seqs[0][pointers[0]]
+            if all(seqs[j][pointers[j]] == head for j in range(1, k)):
+                elements.append(Anchor(head, tuple(pointers)))
+                pointers = [p + 1 for p in pointers]
+                continue
+        nxt = reference_find_next_anchor(cset, tuple(pointers))
+        end = nxt.positions if nxt is not None else tuple(lens)
+        segments = tuple(tuple(seqs[j][pointers[j] : end[j]]) for j in range(k))
+        elements.append(DivergenceRegion(tuple(pointers), end, segments))
+        pointers = list(end)
+
+    return AlignedPartition(tuple(elements))
+
+
+def reference_candidate_soups(
+    cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR
+) -> FusionResult:
+    """Validate, dedup, keep the stored scores, partition and select, one token at a time."""
+    cset = reference_validate(cset, score_floor)
+    prepared = CandidateSet(
+        cset.id, tuple(reference_remove_adjacent_duplicates(c) for c in cset.candidates)
+    )
+    scores = [c.scores for c in prepared.candidates]
+
+    tokens: list[str] = []
+    trace: list[RegionChoice] = []
+    anchors = 0
+    for element in reference_partition(prepared).elements:
+        if isinstance(element, Anchor):
+            tokens.append(element.token)
+            anchors += 1
+            continue
+        segment_scores = []
+        for j in range(len(element.segments)):
+            lo = max(0, element.start[j] - 1)
+            hi = min(len(scores[j]), element.end[j] + 1)
+            window = scores[j][lo:hi]
+            segment_scores.append(math.fsum(window) / len(window))
+        chosen = max(range(len(segment_scores)), key=lambda j: (segment_scores[j], -j))
+        trace.append(
+            RegionChoice(len(trace), chosen, tuple(segment_scores), element.segments[chosen])
+        )
+        tokens.extend(element.segments[chosen])
+    return FusionResult(tuple(tokens), tuple(trace), anchors)

@@ -409,3 +409,75 @@ def test_score_floor_env_override(monkeypatch):
     code, out, _ = run(["fuse"], line)
     assert code == 0
     assert json.loads(out)["output"] == ["a", "y", "b"]
+
+
+class _UnreadableInput(io.StringIO):
+    def __iter__(self):
+        raise AssertionError("input was read")
+
+    def read(self, *args):
+        raise AssertionError("input was read")
+
+    def readline(self, *args):
+        raise AssertionError("input was read")
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "NaN", "inf", "-inf", "3", "1e-9", "-1e999"])
+@pytest.mark.parametrize("command", [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]])
+def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
+    monkeypatch.setenv("CDS_SCORE_FLOOR", value)
+    out, err = io.StringIO(), io.StringIO()
+    code = main(command, stdin=_UnreadableInput(), stdout=out, stderr=err)
+    assert code == 2
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    diagnostic = json.loads(line)
+    assert "CDS_SCORE_FLOOR" in diagnostic["error"] and repr(value) in diagnostic["error"]
+
+
+def test_nan_score_floor_no_longer_leaks_infinity_into_trace(monkeypatch):
+    # a NaN floor clamped nothing, so a -inf score reached the trace as -Infinity
+    line = json.dumps(
+        {
+            "id": "n",
+            "candidates": [
+                {"tokens": ["a", "x", "b"], "scores": [-0.1, float("-inf"), -0.1]},
+                {"tokens": ["a", "y", "b"], "scores": [-0.1, -1.0, -0.1]},
+            ],
+        }
+    )
+    monkeypatch.setenv("CDS_SCORE_FLOOR", "nan")
+    code, out, _ = run(["fuse", "--trace"], line)
+    assert code == 2
+    assert "Infinity" not in out and "NaN" not in out
+
+
+def test_positive_score_floor_no_longer_fails_every_record(monkeypatch):
+    # a floor of 3 raised "score ... must be <= 0" once per record
+    monkeypatch.setenv("CDS_SCORE_FLOOR", "3")
+    code, out, err = run(["fuse"], cross_error_line("r1") + "\n" + cross_error_line("r2"))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["line"] == 0
+
+
+def test_non_numeric_score_floor_exits_2_not_1(monkeypatch):
+    monkeypatch.setenv("CDS_SCORE_FLOOR", "abc")
+    code, _, _ = run(["fuse"], cross_error_line())
+    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-0", "-30", "-1e300", ""])
+def test_valid_score_floor_values_are_accepted(monkeypatch, value):
+    monkeypatch.setenv("CDS_SCORE_FLOOR", value)
+    code, out, _ = run(["fuse"], cross_error_line())
+    assert code == 0
+    assert json.loads(out)["id"] == "pair-1"
+
+
+def test_output_is_strict_json():
+    from candidate_soups.cli import _dump
+
+    with pytest.raises(ValueError):
+        _dump({"x": float("-inf")}, io.StringIO())

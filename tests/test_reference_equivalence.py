@@ -1,0 +1,195 @@
+"""The optimized hot path against frozen per-token reference implementations.
+
+Sets are small and repetitive on purpose: a vocabulary of 2-6 tokens makes
+repeated and adjacent duplicate tokens common, k runs from 1 to 7 and
+candidate lengths differ (down to a single token), so anchors, exhausted
+candidates and multi-token ties all occur.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from candidate_soups import (
+    DEFAULT_SCORE_FLOOR,
+    CandidateSet,
+    EmptyCandidate,
+    InvalidToken,
+    LengthMismatch,
+    PositiveScore,
+    ScoredCandidate,
+    candidate_soups,
+    find_next_anchor,
+    partition,
+    remove_adjacent_duplicates,
+    validate,
+)
+from helpers import (
+    reference_candidate_soups,
+    reference_find_next_anchor,
+    reference_partition,
+    reference_remove_adjacent_duplicates,
+    reference_validate,
+)
+
+FLOOR = DEFAULT_SCORE_FLOOR
+SCORES = st.one_of(
+    st.floats(min_value=-40.0, max_value=0.0),
+    st.sampled_from([0.0, -0.0, FLOOR, -math.inf]),
+)
+
+
+@st.composite
+def candidate_sets(draw, scores=SCORES, tokens=None):
+    vocab_size = draw(st.integers(min_value=2, max_value=6))
+    token = tokens if tokens is not None else st.sampled_from("abcdef"[:vocab_size])
+    k = draw(st.integers(min_value=1, max_value=7))
+    cands = []
+    for _ in range(k):
+        length = draw(st.integers(min_value=1, max_value=12))
+        toks = draw(st.lists(token, min_size=length, max_size=length))
+        vals = draw(st.lists(scores, min_size=length, max_size=length))
+        cands.append(ScoredCandidate(tuple(toks), tuple(vals)))
+    return CandidateSet("p", tuple(cands))
+
+
+@contextmanager
+def captured_warnings():
+    records: list[logging.LogRecord] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            records.append(record)
+
+    logger = logging.getLogger("candidate_soups")
+    handler = Collect(level=logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, (exception class, message)), plus warning texts."""
+    with captured_warnings() as records:
+        try:
+            result, error = fn(*args), None
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            result, error = None, (type(exc), str(exc))
+    return result, error, [r.getMessage() for r in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_partition_matches_reference(cset):
+    assert partition(cset).elements == reference_partition(cset).elements
+    deduped = CandidateSet(cset.id, tuple(map(remove_adjacent_duplicates, cset.candidates)))
+    assert partition(deduped).elements == reference_partition(deduped).elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets(), st.data())
+def test_find_next_anchor_matches_reference(cset, data):
+    # start vectors include pointers at (and only at) a candidate's end
+    start = tuple(
+        data.draw(st.integers(min_value=0, max_value=len(c.tokens))) for c in cset.candidates
+    )
+    assert find_next_anchor(cset, start) == reference_find_next_anchor(cset, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_dedup_matches_reference(cset):
+    for cand in cset.candidates:
+        got = remove_adjacent_duplicates(cand)
+        want = reference_remove_adjacent_duplicates(cand)
+        assert got == want
+        assert (got is cand) == (want is cand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_candidate_soups_matches_reference_pipeline(cset):
+    got = candidate_soups(cset)
+    want = reference_candidate_soups(cset)
+    assert got.tokens == want.tokens
+    assert got.anchors_used == want.anchors_used
+    assert got.trace == want.trace  # float scores compared with ==
+
+
+BAD_TOKENS = st.sampled_from(["a", "b", "", "a b", "c\td", " ", "e ", "\x1c", 7])
+BAD_SCORES = st.one_of(SCORES, st.sampled_from([math.nan, math.inf, 1e-300, 0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets(scores=BAD_SCORES, tokens=BAD_TOKENS), st.sampled_from([FLOOR, -5.0]))
+def test_validate_matches_reference(cset, floor):
+    got, got_error, got_warnings = outcome(validate, cset, floor)
+    want, want_error, want_warnings = outcome(reference_validate, cset, floor)
+    assert got_error == want_error
+    assert got_warnings == want_warnings
+    assert got == want
+    assert (got is cset) == (want is cset)
+
+
+def _set(tokens, scores, source=None):
+    return CandidateSet("e", (ScoredCandidate(tuple(tokens), tuple(scores)),), source)
+
+
+@pytest.mark.parametrize(
+    "cset, error",
+    [
+        (_set(["a", ""], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", "x y"], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", "x\ty"], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", "x\u00a0y"], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", "x\u2003y"], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", "x\x1cy"], [-1.0, -1.0]), InvalidToken),
+        (_set(["", "a b"], [-1.0, -1.0]), InvalidToken),  # joins and splits to ["a", "b"]
+        (_set(["a", 3], [-1.0, -1.0]), InvalidToken),
+        (_set(["a", None], [-1.0, -1.0]), InvalidToken),
+        (_set(["a"], [-1.0], source=["s", "t u"]), InvalidToken),
+        (_set(["a", "b"], [-1.0, math.nan]), PositiveScore),
+        (_set(["a", "b"], [-1.0, math.inf]), PositiveScore),
+        (_set(["a", "b"], [-1.0, 1e-300]), PositiveScore),
+        (_set([], []), EmptyCandidate),
+        (_set(["a", "b"], [-1.0]), LengthMismatch),
+    ],
+)
+def test_validate_rejects_like_reference(cset, error):
+    with pytest.raises(error) as got:
+        validate(cset)
+    with pytest.raises(error) as want:
+        reference_validate(cset)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "scores, clamped",
+    [([-math.inf, -1.0], 1), ([-31.0, -45.0, -1.0], 2), ([-math.inf, -30.5, -math.inf], 3)],
+)
+def test_validate_clamps_with_one_counted_warning(scores, clamped):
+    cset = _set("abc"[: len(scores)], scores)
+    with captured_warnings() as records:
+        out = validate(cset)
+    assert [r.getMessage() for r in records] == [
+        f"clamped {clamped} score(s) below {FLOOR} in candidate set e"
+    ]
+    assert all(s >= FLOOR for s in out.candidates[0].scores)
+    assert out == reference_validate(cset)
+
+
+@pytest.mark.parametrize("scores", [[-0.0, -1.0], [FLOOR, -0.0], [FLOOR, FLOOR]])
+def test_validate_passes_boundary_scores_without_warning(scores):
+    cset = _set(["a", "b"], scores)
+    with captured_warnings() as records:
+        out = validate(cset)
+    assert records == []
+    assert out is cset

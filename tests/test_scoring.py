@@ -15,7 +15,6 @@ from candidate_soups import (
     remove_adjacent_duplicates,
     rescore_set,
     save_ngram,
-    self_scorer,
     train_ngram,
 )
 from candidate_soups.scoring import END_SYMBOL, START_SYMBOL
@@ -27,7 +26,7 @@ ALPHA = 0.1
 class TestSelfScorer:
     def test_passes_stored_scores_through(self):
         cand = ScoredCandidate(("a", "b"), (-0.4, -0.9))
-        assert self_scorer().rescore(None, cand) == (-0.4, -0.9)
+        assert SelfScorer().rescore(None, cand) == (-0.4, -0.9)
 
     def test_deduped_candidate_keeps_deduped_scores(self):
         cand = remove_adjacent_duplicates(
