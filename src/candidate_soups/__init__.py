@@ -4,7 +4,7 @@ Given k candidate sequences with per-token log-probabilities, find the
 tokens all candidates agree on (anchors), and assemble one output by
 keeping, in each stretch of disagreement, the candidate segment whose
 score window has the highest mean.  Includes the keep-one-candidate
-baseline, an exhaustive lattice oracle, a synthetic candidate generator,
+baseline, a best-path lattice oracle, a synthetic candidate generator,
 and a corpus BLEU evaluator.
 """
 

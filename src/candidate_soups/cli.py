@@ -2,21 +2,24 @@
 
 Commands: fuse | npd | synth | bleu | compare | ngram-train.  Input records
 are processed one line at a time (no whole-file buffering) and output order
-matches input order.  Per-line failures are reported to stderr as JSON
-lines ``{"line": N, "error": "..."}``; the process exits 0 on success, 1
-when any line failed, 2 on usage errors.  The environment variable
-``CDS_SCORE_FLOOR`` overrides the default score floor; a value that is not
-a finite number <= 0 is a usage error.  Output is strict JSON (no NaN or
-Infinity).
+matches input order.  Per-line failures (malformed JSON or UTF-8, a record
+of the wrong shape or types, an invalid candidate set) are reported to
+stderr as JSON lines ``{"line": N, "error": "..."}`` and the next line is
+processed; the process exits 0 on success, 1 when any line failed, 2 on
+usage errors.  The environment variable ``CDS_SCORE_FLOOR`` overrides the
+default score floor; a value that is not a finite number <= 0 is a usage
+error.  Output is strict JSON (no NaN or Infinity) in valid UTF-8.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from collections.abc import Iterator, Sequence
@@ -73,8 +76,17 @@ def _make_scorer(selector: str, score_floor: float) -> Scorer:
     raise ValueError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
 
 
+_NUMBER_TYPES = {int, float}  # exact types: bool is an int subclass, not a score
+
+
 def parse_candidate_record(obj: dict, score_floor: float) -> CandidateSet:
-    """Turn one wire-format record into a validated CandidateSet."""
+    """Turn one wire-format record into a validated CandidateSet.
+
+    ``id`` is a string, ``source`` a string, null or absent, ``candidates`` a
+    list of objects whose ``tokens`` is a list and ``scores`` a list of
+    numbers (not booleans or strings).  Token values are checked by
+    ``validate``.
+    """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     try:
@@ -85,10 +97,21 @@ def parse_candidate_record(obj: dict, score_floor: float) -> CandidateSet:
     if not isinstance(ident, str):
         raise ValueError("'id' must be a string")
     source_text = obj.get("source")
-    source = tuple(source_text.split()) if isinstance(source_text, str) else None
+    if source_text is not None and not isinstance(source_text, str):
+        raise ValueError("'source' must be a string or null")
+    if not isinstance(raw_candidates, list):
+        raise ValueError("'candidates' must be a list")
     candidates = []
-    for cand in raw_candidates:
-        candidates.append(ScoredCandidate(tuple(cand["tokens"]), tuple(cand["scores"])))
+    for idx, cand in enumerate(raw_candidates):
+        if not isinstance(cand, dict):
+            raise ValueError(f"set {ident!r} candidate {idx} must be a JSON object")
+        tokens, scores = cand["tokens"], cand["scores"]
+        if not isinstance(tokens, list):
+            raise ValueError(f"set {ident!r} candidate {idx}: 'tokens' must be a list")
+        if not isinstance(scores, list) or not set(map(type, scores)) <= _NUMBER_TYPES:
+            raise ValueError(f"set {ident!r} candidate {idx}: 'scores' must be a list of numbers")
+        candidates.append(ScoredCandidate(tuple(tokens), tuple(scores)))
+    source = tuple(source_text.split()) if source_text is not None else None
     return validate(CandidateSet(ident, tuple(candidates), source), score_floor)
 
 
@@ -116,8 +139,16 @@ def fusion_record(ident: str, result: FusionResult, method: str, with_trace: boo
     return record
 
 
+# Input bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
+# and a "\ud800" escape parses to one; neither has a UTF-8 encoding.
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def _dump(obj: dict, out: IO[str]) -> None:
-    out.write(json.dumps(obj, ensure_ascii=False, allow_nan=False))
+    text = json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    if not text.isascii() and _LONE_SURROGATE.search(text):
+        raise CdsError("output would hold a lone surrogate, which is not valid UTF-8")
+    out.write(text)
     out.write("\n")
 
 
@@ -126,12 +157,19 @@ def _diagnostic(err: IO[str], line_no: int, message: str) -> None:
 
 
 @contextmanager
-def _open_input(path: str, stdin: IO[str]):
+def _open_input(path: str, stdin: IO[str], errors: str = "strict"):
     if path == "-":
+        if errors != "strict" and isinstance(stdin, io.TextIOWrapper):
+            stdin.reconfigure(errors=errors)
         yield stdin
     else:
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8", errors=errors) as fp:
             yield fp
+
+
+def _open_records(path: str, stdin: IO[str]):
+    # invalid UTF-8 must fail its own line, not the whole stream
+    return _open_input(path, stdin, errors="surrogateescape")
 
 
 def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
@@ -149,8 +187,12 @@ def _iter_records(
         if not line:
             continue
         try:
+            if not line.isascii() and _LONE_SURROGATE.search(line):
+                raise ValueError("line is not valid UTF-8")
             cset = parse_candidate_record(json.loads(line), score_floor)
-        except (CdsError, ValueError, KeyError, TypeError) as exc:
+        except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            # OverflowError: an int score beyond float range;
+            # RecursionError: nesting too deep for the json decoder
             _diagnostic(err, line_no, str(exc))
             yield line_no, None
             continue
@@ -161,7 +203,7 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
     floor = _score_floor()
     scorer = _make_scorer(args.scorer, floor)
     failed = False
-    with _open_input(args.input, stdin) as stream:
+    with _open_records(args.input, stdin) as stream:
         for line_no, cset in _iter_records(stream, stderr, floor):
             if cset is None:
                 failed = True
@@ -177,11 +219,10 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
                             f"oracle mismatch: fusion {' '.join(result.tokens)!r} "
                             f"vs best path {' '.join(best)!r}"
                         )
+                _dump(fusion_record(cset.id, result, "cds", args.trace), stdout)
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True
-                continue
-            _dump(fusion_record(cset.id, result, "cds", args.trace), stdout)
     return 1 if failed else 0
 
 
@@ -189,7 +230,7 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
     floor = _score_floor()
     scorer = _make_scorer(args.scorer, floor)
     failed = False
-    with _open_input(args.input, stdin) as stream:
+    with _open_records(args.input, stdin) as stream:
         for line_no, cset in _iter_records(stream, stderr, floor):
             if cset is None:
                 failed = True
@@ -197,11 +238,10 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
             cset = _truncated(cset, args.max_candidates)
             try:
                 _, winner = npd_select(cset, scorer)
+                _dump({"id": cset.id, "output": list(winner.tokens), "method": "npd"}, stdout)
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True
-                continue
-            _dump({"id": cset.id, "output": list(winner.tokens), "method": "npd"}, stdout)
     return 1 if failed else 0
 
 
@@ -302,7 +342,10 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     fusion_seconds = 0.0
     sentences = 0
     seen_ids: set[str] = set()
-    with open(args.refs, "r", encoding="utf-8") as ref_fp, _open_input(args.input, stdin) as stream:
+    with (
+        open(args.refs, "r", encoding="utf-8") as ref_fp,
+        _open_records(args.input, stdin) as stream,
+    ):
         records = _iter_records(stream, stderr, floor)
         for line_no, cset in records:
             if cset is None:
@@ -406,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument(
         "--oracle-check",
         action="store_true",
-        help="verify each fusion against exhaustive lattice search",
+        help="verify each fusion against the lattice's best path (per-region argmax)",
     )
     fuse.add_argument(
         "--no-dedup", action="store_true", help="skip adjacent-duplicate removal (diagnostic)"

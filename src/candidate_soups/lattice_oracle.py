@@ -1,10 +1,13 @@
-"""Simplified lattice construction and brute-force best-path search.
+"""Simplified lattice construction and an independent best-path oracle.
 
 The lattice is the exhaustive view of the same search space the greedy
 fusion walks: anchor nodes joined by groups of per-candidate segment
-branches.  ``oracle_best`` enumerates whole paths and maximizes the sum of
-the chosen branches' window means, providing an independent check that the
-greedy per-region choice is globally optimal.  Window means are computed
+branches.  A path's score is the sum of its branches' window means, and
+each mean depends only on the branch taken in its own region.  The
+objective is separable, so the Viterbi recursion over the lattice
+collapses to an argmax per region group: ``oracle_best`` costs
+O(regions x k) however many paths there are, and since no totals are
+summed, comparing two float means is exact.  Window means are computed
 here from scratch rather than shared with the fusion module, so a slicing
 bug on either side shows up as a mismatch.
 """
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .alignment import Anchor, partition
@@ -92,22 +96,6 @@ def build_lattice(cset: CandidateSet) -> SimplifiedLattice:
     return SimplifiedLattice(tuple(elements))
 
 
-def _distinct_branches(group: RegionGroup) -> list[LatticeBranch]:
-    """Collapse branches with identical tokens, keeping the best-scoring copy.
-
-    Score ties within a token group go to the lowest candidate index.  The
-    result is ordered by the kept copy's candidate index, which makes a
-    lexicographic scan over branch combinations reproduce the greedy
-    fusion's lowest-index tie rule.
-    """
-    best: dict[tuple[str, ...], LatticeBranch] = {}
-    for branch in group.branches:
-        kept = best.get(branch.tokens)
-        if kept is None or branch.score > kept.score:
-            best[branch.tokens] = branch
-    return sorted(best.values(), key=lambda b: b.candidate)
-
-
 def path_count(lattice: SimplifiedLattice) -> int:
     """Number of distinct paths: the product of per-region distinct branch counts."""
     return math.prod(
@@ -115,7 +103,7 @@ def path_count(lattice: SimplifiedLattice) -> int:
     )
 
 
-def _assemble(lattice: SimplifiedLattice, segments: tuple[tuple[str, ...], ...]) -> tuple[str, ...]:
+def _assemble(lattice: SimplifiedLattice, segments: Sequence[Sequence[str]]) -> tuple[str, ...]:
     out: list[str] = []
     region = 0
     for element in lattice.elements:
@@ -132,40 +120,25 @@ def enumerate_paths(
 ) -> list[tuple[str, ...]]:
     """All token sequences obtainable by picking one distinct branch per region.
 
-    Branches with identical tokens within a region are emitted once.
-    Raises PathExplosion when the path count exceeds ``cap``.
+    Branches with identical tokens within a region are emitted once, in
+    order of first appearance.  Raises PathExplosion when the path count
+    exceeds ``cap``.
     """
     count = path_count(lattice)
     if count > cap:
         raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
-    groups = [_distinct_branches(g) for g in lattice.region_groups()]
-    return [
-        _assemble(lattice, tuple(b.tokens for b in combo))
-        for combo in itertools.product(*groups)
-    ]
+    groups = [dict.fromkeys(b.tokens for b in g.branches) for g in lattice.region_groups()]
+    return [_assemble(lattice, combo) for combo in itertools.product(*groups)]
 
 
-def oracle_best(lattice: SimplifiedLattice, cap: int = DEFAULT_PATH_CAP) -> tuple[str, ...]:
-    """Exhaustively search for the path maximizing the sum of branch scores.
+def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:
+    """The path maximizing the sum of branch scores, found region by region.
 
-    Scans every branch combination and keeps the first one (in candidate-
-    index order) whose score total strictly exceeds the best so far, which
-    resolves ties exactly like the greedy fusion: lowest candidate index
-    per region.  Totals are accumulated in exact rational arithmetic: a
-    float sum could absorb a sub-ulp gap between two branch means and turn
-    a strict per-region preference into a spurious tie.  Raises
-    PathExplosion when the path count exceeds ``cap``.
+    Each region keeps its highest-scoring branch, and ``max`` keeps the
+    first of equal maxima: the lowest candidate index, which is the greedy
+    fusion's tie rule and the lexicographically first optimal path.
     """
-    count = path_count(lattice)
-    if count > cap:
-        raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
-    groups = [_distinct_branches(g) for g in lattice.region_groups()]
-    best_combo: tuple[LatticeBranch, ...] | None = None
-    best_total: Fraction | None = None
-    for combo in itertools.product(*groups):
-        total = sum((Fraction(b.score) for b in combo), Fraction(0))
-        if best_total is None or total > best_total:
-            best_total = total
-            best_combo = combo
-    assert best_combo is not None
-    return _assemble(lattice, tuple(b.tokens for b in best_combo))
+    best = attrgetter("score")
+    return _assemble(
+        lattice, tuple(max(group.branches, key=best).tokens for group in lattice.region_groups())
+    )

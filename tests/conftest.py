@@ -1,0 +1,18 @@
+"""Fixtures shared by several test modules."""
+
+import random
+
+import pytest
+
+from candidate_soups import NoiseConfig, generate_corpus
+from helpers import random_references, word_vocab
+
+
+@pytest.fixture(scope="session")
+def quality_corpus():
+    """The criterion-5 corpus: 2000 references of 8-20 tokens, k=5, default noise."""
+    rng = random.Random(20260810)
+    vocab = word_vocab(50)
+    references = random_references(rng, 2000, vocab, min_len=8, max_len=20)
+    sets = generate_corpus(references, 5, NoiseConfig(rng_seed=0), vocab=vocab)
+    return references, sets

@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
 import re
+from fractions import Fraction
 
 from candidate_soups import (
     DEFAULT_SCORE_FLOOR,
     AlignedPartition,
     Anchor,
+    AnchorNode,
     CandidateSet,
     DivergenceRegion,
     EmptyCandidate,
     FusionResult,
     InvalidToken,
+    LatticeBranch,
     LengthMismatch,
+    PathExplosion,
     PointerVector,
     PositiveScore,
     RegionChoice,
     ScoredCandidate,
+    SimplifiedLattice,
+    path_count,
 )
+from candidate_soups.lattice_oracle import DEFAULT_PATH_CAP
 
 # --- two candidates whose errors sit in opposite halves -------------------
 # Candidate 0 garbles "required"; candidate 1 garbles "costs".  Error tokens
@@ -313,3 +321,51 @@ def reference_candidate_soups(
         )
         tokens.extend(element.segments[chosen])
     return FusionResult(tuple(tokens), tuple(trace), anchors)
+
+
+# --- the exhaustive lattice oracle, frozen ------------------------------------
+# Brute-force best-path search with exact rational totals, as it stood before
+# oracle_best became a per-region argmax.  Kept verbatim as the reference the
+# linear oracle is checked against; only usable on lattices with few paths.
+
+
+def _reference_distinct_branches(group) -> list[LatticeBranch]:
+    best: dict[tuple[str, ...], LatticeBranch] = {}
+    for branch in group.branches:
+        kept = best.get(branch.tokens)
+        if kept is None or branch.score > kept.score:
+            best[branch.tokens] = branch
+    return sorted(best.values(), key=lambda b: b.candidate)
+
+
+def _reference_assemble(
+    lattice: SimplifiedLattice, segments: tuple[tuple[str, ...], ...]
+) -> tuple[str, ...]:
+    out: list[str] = []
+    region = 0
+    for element in lattice.elements:
+        if isinstance(element, AnchorNode):
+            out.append(element.token)
+        else:
+            out.extend(segments[region])
+            region += 1
+    return tuple(out)
+
+
+def reference_oracle_best(
+    lattice: SimplifiedLattice, cap: int = DEFAULT_PATH_CAP
+) -> tuple[str, ...]:
+    """Scan every branch combination; keep the first whose exact total is strictly best."""
+    count = path_count(lattice)
+    if count > cap:
+        raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
+    groups = [_reference_distinct_branches(g) for g in lattice.region_groups()]
+    best_combo: tuple[LatticeBranch, ...] | None = None
+    best_total: Fraction | None = None
+    for combo in itertools.product(*groups):
+        total = sum((Fraction(b.score) for b in combo), Fraction(0))
+        if best_total is None or total > best_total:
+            best_total = total
+            best_combo = combo
+    assert best_combo is not None
+    return _reference_assemble(lattice, tuple(b.tokens for b in best_combo))

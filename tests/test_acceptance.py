@@ -75,15 +75,6 @@ def run_cli(argv, stdin_text=""):
 
 
 @pytest.fixture(scope="module")
-def quality_corpus():
-    rng = random.Random(20260810)
-    vocab = word_vocab(50)
-    references = random_references(rng, 2000, vocab, min_len=8, max_len=20)
-    sets = generate_corpus(references, 5, NoiseConfig(rng_seed=0), vocab=vocab)
-    return references, sets
-
-
-@pytest.fixture(scope="module")
 def quality_corpus_files(quality_corpus, tmp_path_factory):
     references, sets = quality_corpus
     base = tmp_path_factory.mktemp("corpus")

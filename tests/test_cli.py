@@ -1,15 +1,25 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from candidate_soups.cli import main
+from candidate_soups import NoiseConfig, generate_corpus
+from candidate_soups.cli import candidate_record, main
 from helpers import (
     CROSS_ERROR_FUSED,
     CROSS_ERROR_SCORES,
     CROSS_ERROR_TOKENS,
     THREE_WAY_FUSED,
+    random_references,
     three_way_set,
+    word_vocab,
 )
 
 
@@ -481,3 +491,220 @@ def test_output_is_strict_json():
 
     with pytest.raises(ValueError):
         _dump({"x": float("-inf")}, io.StringIO())
+
+
+# --- --oracle-check at real sentence lengths ----------------------------------
+
+
+def corpus_lines(sets):
+    return "".join(json.dumps(candidate_record(cset)) + "\n" for cset in sets)
+
+
+class TestOracleCheckAtRealLengths:
+    def test_criterion_7_corpus(self):
+        # 60-token sentences, k=5: most lattices hold far more than 10**6 paths
+        rng = random.Random(99)
+        vocab = word_vocab(80)
+        references = random_references(rng, 200, vocab, min_len=60, max_len=60)
+        sets = generate_corpus(references, 5, NoiseConfig(rng_seed=1), vocab=vocab)
+        code, out, err = run(["fuse", "--oracle-check"], corpus_lines(sets))
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 200
+
+    def test_criterion_5_corpus(self, quality_corpus):
+        _, sets = quality_corpus
+        code, out, err = run(["fuse", "--oracle-check"], corpus_lines(sets))
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == len(sets)
+
+
+# --- typed wire parsing ------------------------------------------------------
+
+
+def record_line(tokens, scores, **extra):
+    return json.dumps({"id": "t", **extra, "candidates": [{"tokens": tokens, "scores": scores}]})
+
+
+def single_error(err):
+    (line,) = err.splitlines()
+    return json.loads(line)["error"]
+
+
+class TestTypedWireParsing:
+    def test_string_tokens_are_rejected_not_split(self):
+        # "abc" used to fuse to ["a", "b", "c"]
+        code, out, err = run(["fuse"], record_line("abc", [-0.1, -0.1, -0.1]))
+        assert code == 1 and out == ""
+        assert "'tokens' must be a list" in single_error(err)
+
+    def test_string_and_boolean_scores_are_rejected(self):
+        # ["-0.1", false] used to be coerced to [-0.1, 0.0] and accepted
+        code, out, err = run(["fuse"], record_line(["a", "b"], ["-0.1", False]))
+        assert code == 1 and out == ""
+        assert "'scores' must be a list of numbers" in single_error(err)
+
+    def test_true_score_is_a_type_error_not_a_positive_score(self):
+        # true used to be reported as "score 1.0 must be <= 0"
+        code, _, err = run(["fuse"], record_line(["a"], [True]))
+        assert code == 1
+        message = single_error(err)
+        assert "'scores' must be a list of numbers" in message and "1.0" not in message
+
+    def test_non_string_source_is_rejected_not_dropped(self):
+        # a source of 123 used to be dropped silently
+        code, out, err = run(["fuse"], record_line(["a"], [-0.1], source=123))
+        assert code == 1 and out == ""
+        assert "'source' must be a string or null" in single_error(err)
+
+    def test_null_source_and_integer_scores_are_accepted(self):
+        code, out, err = run(["fuse"], record_line(["a", "b"], [0, -1], source=None))
+        assert code == 0 and err == ""
+        assert json.loads(out)["output"] == ["a", "b"]
+
+    def test_non_list_candidates_are_rejected(self):
+        line = json.dumps({"id": "t", "candidates": {"tokens": ["a"], "scores": [-0.1]}})
+        code, _, err = run(["fuse"], line)
+        assert code == 1
+        assert "'candidates' must be a list" in single_error(err)
+
+
+# --- a bad line never stops the stream ---------------------------------------
+
+
+def assert_bad_first_line(code, out, err, method="cds"):
+    assert code == 1
+    (diagnostic,) = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["line"] == 1
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["id"] == "pair-1" and record["method"] == method
+    return diagnostic["error"]
+
+
+INVALID_UTF8_RECORD = b'{"id": "u", "candidates": [{"tokens": ["a\xff"], "scores": [-0.1]}]}\n'
+
+
+class TestBadLineNeverStopsStream:
+    def test_deeply_nested_line(self):
+        # used to raise an uncaught RecursionError and lose the next record
+        assert_bad_first_line(*run(["fuse"], "[" * 200_000 + "\n" + cross_error_line()))
+
+    @pytest.mark.parametrize("command", ["fuse", "npd"])
+    def test_invalid_utf8_line_in_a_file(self, tmp_path, command):
+        # used to abort the run with a "line 0" diagnostic
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(INVALID_UTF8_RECORD + cross_error_line().encode() + b"\n")
+        method = "cds" if command == "fuse" else "npd"
+        message = assert_bad_first_line(*run([command, str(path)]), method=method)
+        assert message == "line is not valid UTF-8"
+
+    def test_invalid_utf8_line_on_stdin(self):
+        # under a UTF-8 locale the bad byte used to be copied into the output
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "candidate_soups", "fuse"],
+            input=INVALID_UTF8_RECORD + cross_error_line().encode() + b"\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+        assert_bad_first_line(proc.returncode, out, err)
+
+    def test_lone_surrogate_escape_is_a_line_failure(self):
+        # "\ud800" has no UTF-8 form: writing it used to abort the run
+        line = record_line(["\ud800"], [-0.1])
+        assert "\\ud800" in line
+        message = assert_bad_first_line(*run(["fuse"], line + "\n" + cross_error_line()))
+        assert "lone surrogate" in message
+
+    def test_integer_score_too_large_for_a_float(self):
+        # used to raise an uncaught OverflowError
+        line = '{"id": "t", "candidates": [{"tokens": ["a"], "scores": [-1' + "0" * 400 + "]}]}"
+        assert_bad_first_line(*run(["fuse"], line + "\n" + cross_error_line()))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_loads(text):
+    text.encode("utf-8")  # a lone surrogate would raise here
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+# mostly valid tokens; "\ud800" passes validation but has no UTF-8 form
+WIRE_TOKENS = st.sampled_from(["a", "b", "c", "a", "b", "é", "\ud800", "", "a b"])
+WIRE_SCORES = st.floats(max_value=0.0) | st.sampled_from([-100.0, 0, -1])
+
+
+@st.composite
+def record_like(draw):
+    """A well-formed record, then maybe a token list, a score or a field swapped
+    for an arbitrary JSON value."""
+    candidates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        n = draw(st.integers(min_value=0, max_value=5))
+        candidates.append(
+            {
+                "tokens": draw(st.lists(WIRE_TOKENS, min_size=n, max_size=n)),
+                "scores": draw(st.lists(WIRE_SCORES, min_size=n, max_size=n)),
+            }
+        )
+    record = {"id": draw(st.text(max_size=4)), "candidates": candidates}
+    if draw(st.booleans()):
+        record["source"] = draw(st.text(max_size=8))
+    swap = draw(st.sampled_from(["none", "none", "field", "list", "score"]))
+    if swap == "field":
+        record[draw(st.sampled_from(["id", "candidates", "source"]))] = draw(JSON_VALUES)
+    elif swap == "list" and candidates:
+        field = draw(st.sampled_from(["tokens", "scores"]))
+        draw(st.sampled_from(candidates))[field] = draw(JSON_VALUES)
+    elif swap == "score" and candidates:
+        scores = draw(st.sampled_from(candidates))["scores"]
+        if scores:
+            scores[draw(st.integers(0, len(scores) - 1))] = draw(JSON_SCALARS)
+    return record
+
+
+RAW_LINES = st.sampled_from(
+    ["[" * 100_000, "{" * 100_000, "{", "nan", "-Infinity", "1e999", '"\\ud800"', "\udcff{}", " "]
+) | st.text(max_size=12).filter(lambda t: "\n" not in t)
+LINES = st.one_of(
+    st.tuples(JSON_VALUES, st.booleans()).map(lambda v: json.dumps(v[0], ensure_ascii=v[1])),
+    st.tuples(record_like(), st.booleans()).map(lambda v: json.dumps(v[0], ensure_ascii=v[1])),
+    RAW_LINES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(LINES, min_size=1, max_size=6),
+    argv=st.sampled_from([["fuse"], ["fuse", "--trace"], ["fuse", "--oracle-check"], ["npd"]]),
+)
+def test_every_line_gives_one_record_or_one_diagnostic(lines, argv):
+    code, out, err = run(argv, "".join(line + "\n" for line in lines))
+    nonblank = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    diagnostics = [strict_loads(line) for line in err.splitlines()]
+    # clamp warnings are not line failures; they carry line 0
+    assert all(d["error"].startswith("warning:") for d in diagnostics if d["line"] == 0)
+    failed = [d["line"] for d in diagnostics if d["line"] != 0]
+    assert len(set(failed)) == len(failed)
+    assert set(failed) <= set(nonblank)
+    records = [strict_loads(line) for line in out.splitlines()]
+    fused = [n for n in nonblank if n not in failed]
+    assert [r["id"] for r in records] == [json.loads(lines[n - 1])["id"] for n in fused]
+    assert code == (1 if failed else 0)

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from candidate_soups import (
     AnchorNode,
     CandidateSet,
+    NoiseConfig,
     PathExplosion,
     RegionGroup,
     ScoredCandidate,
@@ -13,13 +16,20 @@ from candidate_soups import (
     build_lattice,
     candidate_soups,
     enumerate_paths,
+    generate_corpus,
     oracle_best,
     partition,
     path_count,
     rescore_set,
     validate,
 )
-from helpers import random_candidate_set
+from candidate_soups.lattice_oracle import DEFAULT_PATH_CAP
+from helpers import (
+    random_candidate_set,
+    random_references,
+    reference_oracle_best,
+    word_vocab,
+)
 
 
 def prepared(cset):
@@ -171,3 +181,49 @@ class TestOracleBest:
             paths = set(enumerate_paths(build_lattice(cset)))
             for cand in cset.candidates:
                 assert cand.tokens in paths
+
+
+# Random sets are small and repetitive (1-8 token types) so that repeated
+# segments and tied window means are common.  Constant-score sets tie every
+# pair of equal-length windows exactly, while windows of different lengths
+# differ only in the last ulp of their mean.
+SCORE_SOURCES = st.sampled_from(["random", "palette", "constant"])
+
+
+@st.composite
+def oracle_sets(draw):
+    vocab = "abcdefgh"[: draw(st.integers(min_value=1, max_value=8))]
+    source = draw(SCORE_SOURCES)
+    if source == "random":
+        score = st.floats(min_value=-5.0, max_value=0.0)
+    elif source == "palette":
+        score = st.sampled_from([-0.1, -0.5, -0.7, -1.0])
+    else:
+        score = st.just(draw(st.sampled_from([-0.7, -0.1, -1 / 3, -2.5, -30.0])))
+    cands = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        tokens = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=12))
+        scores = draw(st.lists(score, min_size=len(tokens), max_size=len(tokens)))
+        cands.append(ScoredCandidate(tuple(tokens), tuple(scores)))
+    return CandidateSet("h", tuple(cands))
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_sets())
+def test_linear_oracle_matches_exhaustive_reference(cset):
+    lattice = build_lattice(prepared(cset))
+    assume(path_count(lattice) <= 10**4)
+    best = oracle_best(lattice)
+    assert best == reference_oracle_best(lattice)
+    assert best == candidate_soups(cset).tokens
+
+
+def test_oracle_runs_far_beyond_the_enumeration_cap():
+    # one criterion-7-shaped sentence: 60 tokens, k=5, vocabulary of 80
+    rng = random.Random(99)
+    vocab = word_vocab(80)
+    references = random_references(rng, 1, vocab, min_len=60, max_len=60)
+    (cset,) = generate_corpus(references, 5, NoiseConfig(rng_seed=1), vocab=vocab)
+    lattice = build_lattice(prepared(cset))
+    assert path_count(lattice) > DEFAULT_PATH_CAP
+    assert oracle_best(lattice) == candidate_soups(cset).tokens
