@@ -4,6 +4,11 @@ Clipped n-gram counts are summed across the corpus first and divided last
 (no per-sentence averaging), matching the original metric.  One reference
 per hypothesis.  Token streams are compared as-is; callers control
 tokenization.
+
+N-grams are counted with ``Counter(zip(...))`` over shifted slices, so the
+counting runs in C.  A reference's counts for every order are computed once
+and reused while consecutive ``add`` calls pass the same reference, as
+``cds compare`` does for each method and each k of its sweep.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .errors import EmptyInput, LengthMismatch
 
@@ -37,7 +44,13 @@ class BleuReport:
 
 
 def _ngram_counts(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+@lru_cache(maxsize=1)
+def _reference_counts(reference: tuple[str, ...], max_n: int) -> tuple[Counter, ...]:
+    """N-gram counts of orders 1..max_n; callers only read them."""
+    return tuple(_ngram_counts(reference, n) for n in range(1, max_n + 1))
 
 
 class BleuAccumulator:
@@ -59,13 +72,14 @@ class BleuAccumulator:
         self.pairs += 1
         self.hyp_length += len(hypothesis)
         self.ref_length += len(reference)
-        for n in range(1, self.max_n + 1):
+        all_ref_counts = _reference_counts(tuple(reference), self.max_n)
+        for n, ref_counts in enumerate(all_ref_counts, start=1):
             hyp_counts = _ngram_counts(hypothesis, n)
             if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(reference, n)
+                break  # no longer n-gram fits either
+            # clipped matches: each n-gram counts at most as often as in the reference
             self.matched[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
+                map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
             )
             self.total[n - 1] += len(hypothesis) - n + 1
 

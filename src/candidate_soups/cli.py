@@ -172,6 +172,15 @@ def _open_records(path: str, stdin: IO[str]):
     return _open_input(path, stdin, errors="surrogateescape")
 
 
+def _open_references(path: str) -> IO[str]:
+    # as for records: a bad reference line is found by _is_invalid_utf8
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _is_invalid_utf8(line: str) -> bool:
+    return not line.isascii() and _LONE_SURROGATE.search(line) is not None
+
+
 def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
     if max_candidates is None or len(cset.candidates) <= max_candidates:
         return cset
@@ -187,7 +196,7 @@ def _iter_records(
         if not line:
             continue
         try:
-            if not line.isascii() and _LONE_SURROGATE.search(line):
+            if _is_invalid_utf8(line):
                 raise ValueError("line is not valid UTF-8")
             cset = parse_candidate_record(json.loads(line), score_floor)
         except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
@@ -270,15 +279,22 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
     config = _load_noise_config(args)
     # first pass collects the corruption vocabulary, second pass streams output
     vocab_seen: dict[str, None] = {}
-    with open(args.refs, "r", encoding="utf-8") as fp:
+    with _open_references(args.refs) as fp:
         for line in fp:
+            if _is_invalid_utf8(line):
+                continue  # reported by the second pass
             for tok in line.split():
                 vocab_seen.setdefault(tok)
     vocab = tuple(vocab_seen)
     failed = False
     index = 0
-    with open(args.refs, "r", encoding="utf-8") as fp:
+    with _open_references(args.refs) as fp:
         for line_no, line in enumerate(fp, start=1):
+            if _is_invalid_utf8(line):
+                _diagnostic(stderr, line_no, "reference line is not valid UTF-8")
+                failed = True
+                index += 1
+                continue
             reference = tuple(line.split())
             try:
                 cset = generate_candidates(
@@ -343,7 +359,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     sentences = 0
     seen_ids: set[str] = set()
     with (
-        open(args.refs, "r", encoding="utf-8") as ref_fp,
+        _open_references(args.refs) as ref_fp,
         _open_records(args.input, stdin) as stream,
     ):
         records = _iter_records(stream, stderr, floor)
@@ -356,6 +372,10 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
             ref_line = ref_fp.readline()
             if not ref_line:
                 return _compare_fail(stderr, line_no, "more records than references")
+            if _is_invalid_utf8(ref_line):
+                return _compare_fail(
+                    stderr, line_no, f"reference line {sentences + 1} is not valid UTF-8"
+                )
             reference = tuple(ref_line.split())
             sentences += 1
 

@@ -5,7 +5,10 @@ log-probabilities the candidates arrived with.  ``NGramScorer`` wraps an
 add-alpha-smoothed n-gram language model trained on a reference corpus and
 stands in for a heavier sequence model; it scores target tokens only and
 ignores the source side (the interface carries the source so a conditional
-scorer can be plugged in later).
+scorer can be plugged in later).  It memoizes its last ``NGRAM_MEMO_SIZE``
+token sequences, so the methods and the k-sweep of ``cds compare``, which
+rescore the same deduped candidates of a record many times, score each one
+once.
 
 ``npd_select`` is the single-candidate baseline: it keeps the one candidate
 with the highest mean log-probability and discards the rest.
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 
 from .candidates import (
     DEFAULT_SCORE_FLOOR,
@@ -30,6 +35,12 @@ from .errors import EmptyCorpus, ScorerFailure
 START_SYMBOL = "<s>"
 END_SYMBOL = "</s>"
 
+# Token sequences an NGramScorer remembers.  Enough for one record's distinct
+# candidates across a whole k-sweep; far fewer than the distinct sequences a
+# stream scores between two visits to the same record, so timings of fresh
+# input never measure memo hits.
+NGRAM_MEMO_SIZE = 64
+
 
 class Scorer:
     """Assigns per-token log-probabilities (each <= 0) to a token sequence.
@@ -38,8 +49,11 @@ class Scorer:
     use after construction.
     """
 
-    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> list[float]:
-        """Return one log-probability per input token."""
+    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> Sequence[float]:
+        """Return one log-probability per input token.
+
+        The sequence may be an immutable tuple shared with other callers.
+        """
         raise NotImplementedError
 
     def rescore(self, source: Sequence[str] | None, candidate: ScoredCandidate) -> Sequence[float]:
@@ -120,26 +134,45 @@ def ngram_score(
     tokens: Sequence[str],
     score_floor: float = DEFAULT_SCORE_FLOOR,
 ) -> list[float]:
-    """Per-token log p(token | previous n-1 tokens), clamped to the floor."""
+    """Per-token log p(token | previous n-1 tokens), clamped to the floor.
+
+    The same arithmetic as ``NGramModel.probability``, in the same order, so
+    the scores are bit-identical to taking the log of it token by token.
+    """
     n = model.order
-    padded = [START_SYMBOL] * (n - 1) + list(tokens)
-    out: list[float] = []
-    for i, tok in enumerate(tokens):
-        context = tuple(padded[i : i + n - 1])
-        logp = math.log(model.probability(context, tok))
-        out.append(max(score_floor, logp))
-    return out
+    padded = (START_SYMBOL,) * (n - 1) + tuple(tokens)
+    # contexts[i] is padded[i : i + n - 1]; an order-1 model has empty contexts
+    contexts = zip(*[padded[i:] for i in range(n - 1)]) if n > 1 else repeat(())
+    counts, totals, alpha = model.counts, model.context_totals, model.alpha
+    smoothing = alpha * (len(model.vocabulary) + 1)  # one extra unknown class
+    log, no_counts = math.log, {}
+    return [
+        max(score_floor, log((counts.get(ctx, no_counts).get(tok, 0) + alpha)
+                             / (totals.get(ctx, 0) + smoothing)))
+        for ctx, tok in zip(contexts, tokens)
+    ]
 
 
 class NGramScorer(Scorer):
-    """Scorer backed by a trained ``NGramModel``; target-side only."""
+    """Scorer backed by a trained ``NGramModel``; target-side only.
+
+    Memoizes the scores of its last ``NGRAM_MEMO_SIZE`` token sequences,
+    keyed on the tokens alone (the source plays no part), and returns them as
+    shared immutable tuples.  The model and floor are fixed after
+    construction, so it stays deterministic, and ``lru_cache`` keeps it safe
+    for concurrent use.
+    """
 
     def __init__(self, model: NGramModel, score_floor: float = DEFAULT_SCORE_FLOOR):
         self.model = model
         self.score_floor = score_floor
+        # closes over the model and floor, not self: no reference cycle
+        self._memo = lru_cache(maxsize=NGRAM_MEMO_SIZE)(
+            lambda tokens: tuple(ngram_score(model, tokens, score_floor))
+        )
 
-    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> list[float]:
-        return ngram_score(self.model, tokens, self.score_floor)
+    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> tuple[float, ...]:
+        return self._memo(tuple(tokens))
 
 
 def save_ngram(model: NGramModel, path: str) -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from candidate_soups import NoiseConfig, generate_corpus
+from candidate_soups import NoiseConfig, generate_corpus, scoring
 from helpers import random_references, word_vocab
 
 
@@ -16,3 +16,17 @@ def quality_corpus():
     references = random_references(rng, 2000, vocab, min_len=8, max_len=20)
     sets = generate_corpus(references, 5, NoiseConfig(rng_seed=0), vocab=vocab)
     return references, sets
+
+
+@pytest.fixture
+def ngram_score_calls(monkeypatch):
+    """The token tuples ``scoring.ngram_score`` is called with, in call order."""
+    calls = []
+    original = scoring.ngram_score
+
+    def counting(model, tokens, score_floor):
+        calls.append(tuple(tokens))
+        return original(model, tokens, score_floor)
+
+    monkeypatch.setattr(scoring, "ngram_score", counting)
+    return calls

@@ -7,6 +7,7 @@ import logging
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 from candidate_soups import (
@@ -14,13 +15,16 @@ from candidate_soups import (
     AlignedPartition,
     Anchor,
     AnchorNode,
+    BleuAccumulator,
     CandidateSet,
     DivergenceRegion,
     EmptyCandidate,
+    EmptyInput,
     FusionResult,
     InvalidToken,
     LatticeBranch,
     LengthMismatch,
+    NGramModel,
     PathExplosion,
     PointerVector,
     PositiveScore,
@@ -30,6 +34,7 @@ from candidate_soups import (
     path_count,
 )
 from candidate_soups.lattice_oracle import DEFAULT_PATH_CAP
+from candidate_soups.scoring import START_SYMBOL
 
 # --- two candidates whose errors sit in opposite halves -------------------
 # Candidate 0 garbles "required"; candidate 1 garbles "costs".  Error tokens
@@ -369,3 +374,48 @@ def reference_oracle_best(
             best_combo = combo
     assert best_combo is not None
     return _reference_assemble(lattice, tuple(b.tokens for b in best_combo))
+
+
+# --- the per-token n-gram scorer and BLEU counting, frozen ---------------------
+# As they stood before ngram_score built its contexts with zip and BLEU counted
+# with Counter(zip(...)) and a cached reference: one tuple slice and one
+# NGramModel.probability call per token, one generator per n-gram order.
+# Verbatim references for the equivalence tests.
+
+
+def reference_ngram_score(
+    model: NGramModel,
+    tokens,
+    score_floor: float = DEFAULT_SCORE_FLOOR,
+) -> list[float]:
+    """Per-token log p(token | previous n-1 tokens), clamped to the floor."""
+    n = model.order
+    padded = [START_SYMBOL] * (n - 1) + list(tokens)
+    out: list[float] = []
+    for i, tok in enumerate(tokens):
+        context = tuple(padded[i : i + n - 1])
+        logp = math.log(model.probability(context, tok))
+        out.append(max(score_floor, logp))
+    return out
+
+
+def _reference_ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu_add(acc: BleuAccumulator, hypothesis, reference) -> None:
+    """``BleuAccumulator.add`` as it stood, applied to ``acc``."""
+    if not reference:
+        raise EmptyInput("reference sentence is empty")
+    acc.pairs += 1
+    acc.hyp_length += len(hypothesis)
+    acc.ref_length += len(reference)
+    for n in range(1, acc.max_n + 1):
+        hyp_counts = _reference_ngram_counts(hypothesis, n)
+        if not hyp_counts:
+            continue
+        ref_counts = _reference_ngram_counts(reference, n)
+        acc.matched[n - 1] += sum(
+            min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
+        )
+        acc.total[n - 1] += len(hypothesis) - n + 1

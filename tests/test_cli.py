@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import NoiseConfig, generate_corpus
-from candidate_soups.cli import candidate_record, main
+from candidate_soups import (
+    DEFAULT_SCORE_FLOOR,
+    NGramScorer,
+    NoiseConfig,
+    Scorer,
+    cli,
+    generate_corpus,
+    remove_adjacent_duplicates,
+)
+from candidate_soups.cli import candidate_record, main, parse_candidate_record
 from helpers import (
     CROSS_ERROR_FUSED,
     CROSS_ERROR_SCORES,
@@ -193,6 +201,22 @@ class TestSynth:
         assert json.loads(err)["line"] == 2
         assert len(out.splitlines()) == 2
 
+    def test_invalid_utf8_reference_line_reported(self, tmp_path):
+        # used to write no record and exit 1 with a "line 0" diagnostic
+        refs = tmp_path / "refs.txt"
+        refs.write_bytes(b"a b c\n\xff d\ne f\n")
+        code, out, err = run(["synth", str(refs), "--k", "3", "--seed", "4"])
+        assert code == 1
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 2, "error": "reference line is not valid UTF-8"}
+        ]
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["0", "2"]
+        # line 2 is out of the corruption vocabulary too: the same records as
+        # when line 2 is empty
+        empty = tmp_path / "empty.txt"
+        empty.write_text("a b c\n\ne f\n")
+        assert run(["synth", str(empty), "--k", "3", "--seed", "4"])[1] == out
+
     def test_config_file_with_flag_override(self, tmp_path):
         refs = tmp_path / "refs.txt"
         refs.write_text("a b c d e f\n")
@@ -321,6 +345,71 @@ class TestCompare:
         code, _, err = run(["compare", "--refs", str(refs)], doubled)
         assert code == 1
         assert "duplicate record id" in err
+
+    def test_invalid_utf8_reference_line_named(self, tmp_path):
+        # used to report "line 0" for any bad byte in the references
+        refs, records = self.make_corpus(tmp_path)
+        lines = refs.read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"".join(lines[:2]) + b"w1 \xff\n" + b"".join(lines[3:]))
+        code, out, err = run(["compare", "--refs", str(bad)], records)
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 3, "error": "reference line 3 is not valid UTF-8"}
+        ]
+
+
+class TestCompareScoresEachCandidateOnce:
+    """``compare --sweep-k`` rescores the same deduped candidates for every
+    method and every k; the n-gram scorer's memo scores each one once."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        refs = tmp_path / "refs.txt"
+        rng = random.Random(41)
+        vocab = word_vocab(12)
+        refs.write_text(
+            "".join(" ".join(r) + "\n" for r in random_references(rng, 25, vocab, 4, 9))
+        )
+        model = tmp_path / "lm.ngram"
+        assert run(["ngram-train", str(refs), "-o", str(model), "--order", "3"])[0] == 0
+        _, records, _ = run(["synth", str(refs), "--k", "5", "--seed", "8"])
+        argv = ["compare", "--refs", str(refs), "--sweep-k", "1..7", "--json",
+                "--scorer", f"ngram:{model}"]
+        return argv, records
+
+    def test_each_distinct_deduped_candidate_scored_once(self, corpus, ngram_score_calls):
+        argv, records = corpus
+        code, _, err = run(argv, records)
+        assert code == 0, err
+        distinct = [
+            {remove_adjacent_duplicates(c).tokens for c in parse_candidate_record(
+                json.loads(line), DEFAULT_SCORE_FLOOR).candidates}
+            for line in records.splitlines()
+        ]
+        assert len(ngram_score_calls) == len(set(ngram_score_calls))
+        assert set(ngram_score_calls) == set().union(*distinct)
+        assert len(ngram_score_calls) <= 5 * len(distinct)
+
+    def test_summary_equals_unmemoized_scoring(self, corpus, monkeypatch):
+        argv, records = corpus
+        code, memoized, _ = run(argv, records)
+        assert code == 0
+
+        class FreshScorer(Scorer):
+            def __init__(self, model, score_floor):
+                self.model, self.score_floor = model, score_floor
+
+            def score(self, source, tokens):
+                return NGramScorer(self.model, self.score_floor).score(source, tokens)
+
+        monkeypatch.setattr(cli, "NGramScorer", FreshScorer)
+        code, fresh, _ = run(argv, records)
+        assert code == 0
+        got, want = json.loads(memoized), json.loads(fresh)
+        got.pop("mean_fusion_ms"), want.pop("mean_fusion_ms")
+        assert got == want
+        assert len(got["sweep"]) == 7
 
 
 class TestNgramTrain:

@@ -3,7 +3,9 @@
 Sets are small and repetitive on purpose: a vocabulary of 2-6 tokens makes
 repeated and adjacent duplicate tokens common, k runs from 1 to 7 and
 candidate lengths differ (down to a single token), so anchors, exhausted
-candidates and multi-token ties all occur.
+candidates and multi-token ties all occur.  The n-gram scorer and BLEU
+counting are checked the same way: small vocabularies, so that contexts
+repeat and clipping is common, plus tokens and contexts never seen.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from candidate_soups import (
     DEFAULT_SCORE_FLOOR,
+    BleuAccumulator,
     CandidateSet,
     EmptyCandidate,
     InvalidToken,
@@ -26,13 +29,18 @@ from candidate_soups import (
     ScoredCandidate,
     candidate_soups,
     find_next_anchor,
+    ngram_score,
     partition,
     remove_adjacent_duplicates,
+    train_ngram,
     validate,
 )
+from candidate_soups.scoring import END_SYMBOL, START_SYMBOL
 from helpers import (
+    reference_bleu_add,
     reference_candidate_soups,
     reference_find_next_anchor,
+    reference_ngram_score,
     reference_partition,
     reference_remove_adjacent_duplicates,
     reference_validate,
@@ -193,3 +201,76 @@ def test_validate_passes_boundary_scores_without_warning(scores):
         out = validate(cset)
     assert records == []
     assert out is cset
+
+
+# --- n-gram scoring and BLEU counting ------------------------------------------
+
+TRAIN_TOKENS = st.sampled_from("abcd")
+# "e" and "f" are never trained; boundary symbols may appear as plain tokens
+QUERY_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "f", START_SYMBOL, END_SYMBOL])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpus=st.lists(st.lists(TRAIN_TOKENS, max_size=8), min_size=1, max_size=6),
+    order=st.integers(min_value=1, max_value=4),
+    alpha=st.sampled_from([1e-6, 0.01, 0.1, 1.0, 7.5]),
+    queries=st.lists(st.lists(QUERY_TOKENS, max_size=12), min_size=1, max_size=5),
+    floor=st.sampled_from([FLOOR, -8.0, -2.0, -0.5]),
+)
+def test_ngram_score_matches_reference(corpus, order, alpha, queries, floor):
+    # a tiny alpha pushes unseen events below every floor tried, so clamping occurs
+    model = train_ngram(corpus, n=order, alpha=alpha)
+    for tokens in queries:
+        want = reference_ngram_score(model, tokens, floor)
+        assert ngram_score(model, tokens, floor) == want  # bit-identical floats
+        assert ngram_score(model, tuple(tokens), floor) == want
+
+
+def test_ngram_score_floor_clamp_case_is_covered():
+    # unseen token in a seen context: log(1e-6 / ...) is clamped; the unseen
+    # context that follows spreads its mass evenly, log(1/4), and is kept
+    model = train_ngram([["a", "b"]], n=3, alpha=1e-6)
+    got = ngram_score(model, ["z", "a"], score_floor=-2.0)
+    assert got[0] == -2.0 and got[1] == math.log(1 / 4)
+    assert got == reference_ngram_score(model, ["z", "a"], score_floor=-2.0)
+
+
+BLEU_TOKENS = st.sampled_from("xyz")  # three types: repeated n-grams, frequent clipping
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    max_n=st.integers(min_value=1, max_value=6),
+    pairs=st.lists(
+        st.tuples(
+            st.lists(BLEU_TOKENS, max_size=9),  # empty and shorter than n included
+            st.lists(BLEU_TOKENS, min_size=1, max_size=9),
+            st.integers(min_value=1, max_value=3),  # consecutive adds of one reference
+            st.booleans(),  # reference passed as a list or a tuple
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_bleu_accumulator_matches_reference(max_n, pairs):
+    got, want = BleuAccumulator(max_n), BleuAccumulator(max_n)
+    other, other_want = BleuAccumulator(max_n % 6 + 1), BleuAccumulator(max_n % 6 + 1)
+    for hyp, ref, repeats, as_tuple in pairs:
+        reference = tuple(ref) if as_tuple else list(ref)
+        for i in range(repeats):
+            hypothesis = hyp[i:]
+            got.add(hypothesis, reference)
+            reference_bleu_add(want, hypothesis, reference)
+            # another order on the same reference between adds
+            other.add(tuple(hypothesis), list(reference))
+            reference_bleu_add(other_want, tuple(hypothesis), list(reference))
+    for acc, ref_acc in ((got, want), (other, other_want)):
+        assert acc.matched == ref_acc.matched
+        assert acc.total == ref_acc.total
+        assert (acc.hyp_length, acc.ref_length, acc.pairs) == (
+            ref_acc.hyp_length, ref_acc.ref_length, ref_acc.pairs
+        )
+        if acc.hyp_length:
+            assert acc.report() == ref_acc.report()
+            assert acc.report(smoothing_epsilon=0.1) == ref_acc.report(smoothing_epsilon=0.1)
