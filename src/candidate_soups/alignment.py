@@ -23,6 +23,9 @@ PointerVector = tuple[int, ...]
 
 _END = object()  # stands past the last token of a candidate
 
+# (token sequences, partition) of the last set partitioned; replaced whole
+_last_partition: tuple[tuple[tuple[str, ...], ...], AlignedPartition] | None = None
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -131,8 +134,23 @@ def partition(cset: CandidateSet) -> AlignedPartition:
     token (or to the candidate ends when none exists) is emitted and the
     pointers jump there.  Terminates after at most the total token count of
     all candidates.
+
+    The tokens are partition's only input, so the last set's token
+    sequences and partition are kept in one slot: a set whose sequences
+    equal them (compared, not hashed) gets the same partition back.  Within
+    one record that is the repeat work: ``compare --sweep-k`` fuses the full
+    set again for every k past its size, and ``fuse --oracle-check``
+    partitions each set once for fusion and once in ``build_lattice``.
+    Distinct records rarely share their tokens, so one slot catches these
+    repeats, and a miss costs one tuple comparison.  The slot is one
+    ``(tokens, partition)`` tuple, replaced whole, so a concurrent caller
+    never reads the tokens of one set with the partition of another.
     """
-    seqs = [c.tokens for c in cset.candidates]
+    global _last_partition
+    seqs = tuple([c.tokens for c in cset.candidates])
+    last = _last_partition
+    if last is not None and last[0] == seqs:
+        return last[1]
     k = len(seqs)
     lens = tuple(len(s) for s in seqs)
     # a sentinel past each end is the head of an exhausted candidate
@@ -155,4 +173,6 @@ def partition(cset: CandidateSet) -> AlignedPartition:
         elements.append(DivergenceRegion(pointers, end, segments))
         pointers = end
 
-    return AlignedPartition(tuple(elements))
+    part = AlignedPartition(tuple(elements))
+    _last_partition = (seqs, part)
+    return part

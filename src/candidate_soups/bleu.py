@@ -6,9 +6,12 @@ per hypothesis.  Token streams are compared as-is; callers control
 tokenization.
 
 N-grams are counted with ``Counter(zip(...))`` over shifted slices, so the
-counting runs in C.  A reference's counts for every order are computed once
-and reused while consecutive ``add`` calls pass the same reference, as
-``cds compare`` does for each method and each k of its sweep.
+counting runs in C.  ``add`` takes a pair's clipped-match counts from a memo
+of the last ``BLEU_MEMO_SIZE`` (hypothesis, reference, max_n) triples, and a
+reference's counts for every order are computed once and reused while
+consecutive misses pass the same reference.  ``cds compare`` adds one
+reference per record for each method and each k of its sweep, and most of
+those hypotheses coincide.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ from itertools import repeat
 from .errors import EmptyInput, LengthMismatch
 
 TokenSeq = Sequence[str]
+
+# Distinct (hypothesis, reference, max_n) triples whose clipped matches are
+# kept.  One record of ``compare --sweep-k`` adds at most 2k distinct
+# hypotheses for a set of k candidates (every deduped candidate, and one
+# fusion per subset size of 2..k plus the full set), all against one
+# reference, so 16 holds a whole record for k <= 8.  Records do not share
+# references, so more entries would only hold dead pairs.
+BLEU_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,26 @@ def _reference_counts(reference: tuple[str, ...], max_n: int) -> tuple[Counter, 
     return tuple(_ngram_counts(reference, n) for n in range(1, max_n + 1))
 
 
+@lru_cache(maxsize=BLEU_MEMO_SIZE)
+def _clipped_matches(
+    hypothesis: tuple[str, ...], reference: tuple[str, ...], max_n: int
+) -> tuple[int, ...]:
+    """Clipped matches of orders 1..min(max_n, len(hypothesis)).
+
+    Each hypothesis n-gram counts at most as often as in the reference.
+    Orders longer than the hypothesis have no n-grams and are left out.
+    """
+    matches = []
+    for n, ref_counts in enumerate(_reference_counts(reference, max_n), start=1):
+        hyp_counts = _ngram_counts(hypothesis, n)
+        if not hyp_counts:
+            break  # no longer n-gram fits either
+        matches.append(
+            sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
+        )
+    return tuple(matches)
+
+
 class BleuAccumulator:
     """Streaming clipped-count accumulator, one sentence pair at a time."""
 
@@ -72,15 +103,9 @@ class BleuAccumulator:
         self.pairs += 1
         self.hyp_length += len(hypothesis)
         self.ref_length += len(reference)
-        all_ref_counts = _reference_counts(tuple(reference), self.max_n)
-        for n, ref_counts in enumerate(all_ref_counts, start=1):
-            hyp_counts = _ngram_counts(hypothesis, n)
-            if not hyp_counts:
-                break  # no longer n-gram fits either
-            # clipped matches: each n-gram counts at most as often as in the reference
-            self.matched[n - 1] += sum(
-                map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
-            )
+        matches = _clipped_matches(tuple(hypothesis), tuple(reference), self.max_n)
+        for n, matched in enumerate(matches, start=1):
+            self.matched[n - 1] += matched
             self.total[n - 1] += len(hypothesis) - n + 1
 
     def report(self, smoothing_epsilon: float | None = None) -> BleuReport:

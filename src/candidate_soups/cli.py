@@ -142,12 +142,16 @@ def fusion_record(ident: str, result: FusionResult, method: str, with_trace: boo
 # Input bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
 # and a "\ud800" escape parses to one; neither has a UTF-8 encoding.
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# json.dumps escapes every other line break; str.splitlines() also splits on these
+_LINE_BREAK_ESCAPES = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 
 def _dump(obj: dict, out: IO[str]) -> None:
     text = json.dumps(obj, ensure_ascii=False, allow_nan=False)
-    if not text.isascii() and _LONE_SURROGATE.search(text):
-        raise CdsError("output would hold a lone surrogate, which is not valid UTF-8")
+    if not text.isascii():
+        if _LONE_SURROGATE.search(text):
+            raise CdsError("output would hold a lone surrogate, which is not valid UTF-8")
+        text = text.translate(_LINE_BREAK_ESCAPES)
     out.write(text)
     out.write("\n")
 
@@ -172,8 +176,8 @@ def _open_records(path: str, stdin: IO[str]):
     return _open_input(path, stdin, errors="surrogateescape")
 
 
-def _open_references(path: str) -> IO[str]:
-    # as for records: a bad reference line is found by _is_invalid_utf8
+def _open_text(path: str) -> IO[str]:
+    # as for records: a line with invalid UTF-8 is found by _is_invalid_utf8
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
@@ -277,57 +281,82 @@ def _load_noise_config(args: argparse.Namespace) -> NoiseConfig:
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     floor = _score_floor()
     config = _load_noise_config(args)
-    # first pass collects the corruption vocabulary, second pass streams output
+    # read once (the file may be a pipe): the corruption vocabulary needs
+    # every line before the first record is generated
+    with _open_text(args.refs) as fp:
+        lines = fp.readlines()
     vocab_seen: dict[str, None] = {}
-    with _open_references(args.refs) as fp:
-        for line in fp:
-            if _is_invalid_utf8(line):
-                continue  # reported by the second pass
-            for tok in line.split():
-                vocab_seen.setdefault(tok)
+    for line in lines:
+        if _is_invalid_utf8(line):
+            continue  # reported below
+        for tok in line.split():
+            vocab_seen.setdefault(tok)
     vocab = tuple(vocab_seen)
     failed = False
-    index = 0
-    with _open_references(args.refs) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if _is_invalid_utf8(line):
-                _diagnostic(stderr, line_no, "reference line is not valid UTF-8")
-                failed = True
-                index += 1
-                continue
-            reference = tuple(line.split())
-            try:
-                cset = generate_candidates(
-                    reference, args.k, config, vocab, ident=str(index), score_floor=floor
-                )
-            except EmptyReference:
-                _diagnostic(stderr, line_no, "reference sentence is empty")
-                failed = True
-                index += 1
-                continue
-            _dump(candidate_record(cset), stdout)
-            index += 1
+    for index, line in enumerate(lines):
+        line_no = index + 1
+        if _is_invalid_utf8(line):
+            _diagnostic(stderr, line_no, "reference line is not valid UTF-8")
+            failed = True
+            continue
+        reference = tuple(line.split())
+        try:
+            cset = generate_candidates(
+                reference, args.k, config, vocab, ident=str(index), score_floor=floor
+            )
+        except EmptyReference:
+            _diagnostic(stderr, line_no, "reference sentence is empty")
+            failed = True
+            continue
+        _dump(candidate_record(cset), stdout)
     return 1 if failed else 0
 
 
+class _BadInputLine(Exception):
+    """A line that stops a command which needs its whole input file."""
+
+    def __init__(self, path: str, line_no: int, message: str):
+        super().__init__(f"{path}: {message}")
+        self.line_no = line_no
+
+
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    with _open_text(path) as fp:
+        for line_no, line in enumerate(fp, start=1):
+            if _is_invalid_utf8(line):
+                raise _BadInputLine(path, line_no, "line is not valid UTF-8")
+            yield line_no, line
+
+
 def _read_token_lines(path: str) -> list[tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return [tuple(line.split()) for line in fp]
+    return [tuple(line.split()) for _, line in _read_lines(path)]
 
 
 def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                out.append(tuple(json.loads(line)["output"]))
+    for line_no, line in _read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            output = json.loads(line)["output"]
+        except json.JSONDecodeError as exc:
+            raise _BadInputLine(path, line_no, f"invalid JSON: {exc.msg}") from None
+        except (KeyError, TypeError, RecursionError):
+            raise _BadInputLine(path, line_no, "record must be an object with 'output'") from None
+        if not isinstance(output, list) or not set(map(type, output)) <= {str}:
+            raise _BadInputLine(path, line_no, "'output' must be a list of strings")
+        out.append(tuple(output))
     return out
 
 
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
-    refs = _read_token_lines(args.ref)
+    try:
+        hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
+        refs = _read_token_lines(args.ref)
+    except _BadInputLine as exc:
+        _diagnostic(stderr, exc.line_no, str(exc))
+        return 1
     if args.smooth is not None:
         report = bleu_with_smoothing(hyps, refs, max_n=args.max_n, epsilon=args.smooth)
     else:
@@ -359,7 +388,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     sentences = 0
     seen_ids: set[str] = set()
     with (
-        _open_references(args.refs) as ref_fp,
+        _open_text(args.refs) as ref_fp,
         _open_records(args.input, stdin) as stream,
     ):
         records = _iter_records(stream, stderr, floor)

@@ -1,9 +1,12 @@
+import functools
 import io
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from candidate_soups import (
     NGramScorer,
     NoiseConfig,
     Scorer,
+    alignment,
+    bleu,
     cli,
     generate_corpus,
     remove_adjacent_duplicates,
@@ -35,6 +40,19 @@ def run(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(argv, stdin_bytes):
+    """Run ``python -m candidate_soups`` in a child process with piped stdin."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "candidate_soups", *argv],
+        input=stdin_bytes,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
 
 
 def cross_error_line(ident="pair-1"):
@@ -217,6 +235,13 @@ class TestSynth:
         empty.write_text("a b c\n\ne f\n")
         assert run(["synth", str(empty), "--k", "3", "--seed", "4"])[1] == out
 
+    def test_references_from_a_pipe(self):
+        # the vocabulary pass used to drain the pipe, leaving no record to write
+        proc = run_module(["synth", "/dev/stdin", "--k", "2", "--seed", "4"], b"a b c\nd e\n")
+        assert proc.returncode == 0 and proc.stderr == b""
+        records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+        assert [r["id"] for r in records] == ["0", "1"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         refs = tmp_path / "refs.txt"
         refs.write_text("a b c d e f\n")
@@ -277,6 +302,40 @@ class TestBleu:
         smoothed = json.loads(run(["bleu", str(hyp), str(ref), "--smooth", "0.1"])[1])
         assert plain["bleu"] == 0.0
         assert smoothed["bleu"] > 0.0
+
+    @pytest.mark.parametrize("bad", ["hyp", "ref"])
+    def test_invalid_utf8_line_named(self, tmp_path, bad):
+        # used to abort with a "line 0" 'utf-8' codec error
+        files = {"hyp": tmp_path / "hyp.txt", "ref": tmp_path / "ref.txt"}
+        files["hyp"].write_text("a b\nc d\n")
+        files["ref"].write_text("a b\nc d\n")
+        files[bad].write_bytes(b"a b\nc \xff d\n")
+        code, out, err = run(["bleu", str(files["hyp"]), str(files["ref"])])
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 2, "error": f"{files[bad]}: line is not valid UTF-8"}
+        ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+            ('["a"]', "record must be an object with 'output'"),
+            ('{"id": "x"}', "record must be an object with 'output'"),
+            ('{"output": "a b"}', "'output' must be a list of strings"),
+        ],
+    )
+    def test_malformed_jsonl_line_named(self, tmp_path, line, message):
+        # a JSON error used to say "line 1 column 1" with diagnostic line 0
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"output": ["a", "b"]}\n' + line + "\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\nc d\n")
+        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        assert code == 1 and out == ""
+        assert [json.loads(text) for text in err.splitlines()] == [
+            {"line": 2, "error": f"{hyp}: {message}"}
+        ]
 
     def test_count_mismatch_fails(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
@@ -410,6 +469,69 @@ class TestCompareScoresEachCandidateOnce:
         got.pop("mean_fusion_ms"), want.pop("mean_fusion_ms")
         assert got == want
         assert len(got["sweep"]) == 7
+
+
+class TestEachInputAlignedAndScoredOnce:
+    """The partition memo and the BLEU memo remove repeats within a record."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        refs = tmp_path / "refs.txt"
+        rng = random.Random(17)
+        refs.write_text(
+            "".join(" ".join(r) + "\n" for r in random_references(rng, 30, word_vocab(15), 6, 14))
+        )
+        _, records, _ = run(["synth", str(refs), "--k", "5", "--seed", "2"])
+        return refs, records
+
+    def test_oracle_check_searches_anchors_as_often_as_plain_fuse(self, records, monkeypatch):
+        # build_lattice partitions the set fusion has just partitioned
+        _, lines = records
+        calls = []
+        original = alignment.find_next_anchor
+
+        def counting(cset, start):
+            calls.append(start)
+            return original(cset, start)
+
+        monkeypatch.setattr(alignment, "find_next_anchor", counting)
+        counts = []
+        for argv in (["fuse"], ["fuse", "--oracle-check"]):
+            monkeypatch.setattr(alignment, "_last_partition", None)
+            calls.clear()
+            code, _, err = run(argv, lines)
+            assert code == 0, err
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_sweep_computes_clipped_matches_once_per_distinct_triple(self, records, monkeypatch):
+        refs, lines = records
+        computed, added = [], []
+        compute = bleu._clipped_matches.__wrapped__
+
+        def counting(hypothesis, reference, max_n):
+            computed.append((hypothesis, reference, max_n))
+            return compute(hypothesis, reference, max_n)
+
+        original_add = bleu.BleuAccumulator.add
+
+        def recording(self, hypothesis, reference):
+            added.append((tuple(hypothesis), tuple(reference), self.max_n))
+            return original_add(self, hypothesis, reference)
+
+        # a fresh memo of the same size, so no earlier test's entries hit
+        memo = functools.lru_cache(maxsize=bleu.BLEU_MEMO_SIZE)(counting)
+        monkeypatch.setattr(bleu, "_clipped_matches", memo)
+        monkeypatch.setattr(bleu.BleuAccumulator, "add", recording)
+        code, _, err = run(["compare", "--refs", str(refs), "--sweep-k", "1..7", "--json"], lines)
+        assert code == 0, err
+        assert len(added) == 17 * 30
+        # one record's adds share its reference
+        per_record = [list(group) for _, group in itertools.groupby(added, key=itemgetter(1))]
+        assert len(per_record) == 30
+        assert computed == [triple for group in per_record for triple in dict.fromkeys(group)]
+        assert len(computed) < len(added) / 2
 
 
 class TestNgramTrain:
@@ -688,15 +810,7 @@ class TestBadLineNeverStopsStream:
 
     def test_invalid_utf8_line_on_stdin(self):
         # under a UTF-8 locale the bad byte used to be copied into the output
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "candidate_soups", "fuse"],
-            input=INVALID_UTF8_RECORD + cross_error_line().encode() + b"\n",
-            capture_output=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_module(["fuse"], INVALID_UTF8_RECORD + cross_error_line().encode() + b"\n")
         out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
         assert_bad_first_line(proc.returncode, out, err)
 
@@ -711,6 +825,19 @@ class TestBadLineNeverStopsStream:
         # used to raise an uncaught OverflowError
         line = '{"id": "t", "candidates": [{"tokens": ["a"], "scores": [-1' + "0" * 400 + "]}]}"
         assert_bad_first_line(*run(["fuse"], line + "\n" + cross_error_line()))
+
+
+@pytest.mark.parametrize("command", ["fuse", "npd"])
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_unicode_line_breaks_are_escaped(command, char):
+    # these were written raw, and str.splitlines() cut the record in two
+    ident = f"a{char}b\u00e9"
+    line = json.dumps({"id": ident, "candidates": [{"tokens": ["a"], "scores": [0.0]}]})
+    code, out, err = run([command], line + "\n")
+    assert code == 0 and err == ""
+    assert char not in out and "\u00e9" in out  # other non-ASCII stays raw
+    (record,) = [json.loads(text) for text in out.splitlines()]
+    assert record["id"] == ident
 
 
 def _reject_constant(name):

@@ -5,13 +5,20 @@ repeated and adjacent duplicate tokens common, k runs from 1 to 7 and
 candidate lengths differ (down to a single token), so anchors, exhausted
 candidates and multi-token ties all occur.  The n-gram scorer and BLEU
 counting are checked the same way: small vocabularies, so that contexts
-repeat and clipping is common, plus tokens and contexts never seen.
+repeat and clipping is common, plus tokens and contexts never seen.  The
+partition and BLEU memos are checked with call sequences that repeat
+inputs among near misses (equal tokens under other ids and scores, one
+hypothesis against other references and other orders), and under threads.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import random
+import sys
+import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -37,6 +44,7 @@ from candidate_soups import (
 )
 from candidate_soups.scoring import END_SYMBOL, START_SYMBOL
 from helpers import (
+    random_candidate_set,
     reference_bleu_add,
     reference_candidate_soups,
     reference_find_next_anchor,
@@ -274,3 +282,112 @@ def test_bleu_accumulator_matches_reference(max_n, pairs):
         if acc.hyp_length:
             assert acc.report() == ref_acc.report()
             assert acc.report(smoothing_epsilon=0.1) == ref_acc.report(smoothing_epsilon=0.1)
+
+
+# --- the partition and BLEU memos ----------------------------------------------
+# The memos are module state, so they carry over from one call (and one
+# example) to the next; each test runs a mixed sequence in which the same
+# input recurs, next to inputs that share every other key part.
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(candidate_sets(), min_size=1, max_size=4),
+    calls=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from(["p", "q"]),  # every pool set has id "p"
+            st.none() | st.floats(min_value=-9.0, max_value=0.0),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_partition_memo_matches_reference(pool, calls):
+    for index, ident, score in calls:
+        cset = pool[index % len(pool)]
+        if ident != cset.id or score is not None:
+            # the same tokens under another id and other scores
+            cset = CandidateSet(ident, tuple(
+                ScoredCandidate(c.tokens, (score or 0.0,) * len(c.tokens))
+                for c in cset.candidates
+            ))
+        assert partition(cset).elements == reference_partition(cset).elements
+
+
+BLEU_WORDS = st.lists(BLEU_TOKENS, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hyps=st.lists(BLEU_WORDS, min_size=1, max_size=4),
+    refs=st.lists(st.lists(BLEU_TOKENS, min_size=1, max_size=7), min_size=1, max_size=3),
+    orders=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+    adds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+                  min_size=1, max_size=20),
+)
+def test_bleu_memo_matches_reference(hyps, refs, orders, adds):
+    # one hypothesis against several references, one pair under several max_n,
+    # in any order and with repeats
+    accs = [(BleuAccumulator(n), BleuAccumulator(n)) for n in orders]
+    for h, r, a in adds:
+        hypothesis, reference = hyps[h % len(hyps)], refs[r % len(refs)]
+        got, want = accs[a % len(accs)]
+        got.add(hypothesis, reference)
+        reference_bleu_add(want, hypothesis, reference)
+        assert (got.matched, got.total) == (want.matched, want.total)
+    for got, want in accs:
+        assert (got.hyp_length, got.ref_length, got.pairs) == (
+            want.hyp_length, want.ref_length, want.pairs
+        )
+
+
+def test_memos_under_threads():
+    """16 threads (more than the cores of a test machine) switching every
+    microsecond share both memos; every result must equal the reference's."""
+    rng = random.Random(5)
+    sets = [random_candidate_set(rng, max_k=5, vocab=tuple("abcd"), ident="t") for _ in range(6)]
+    want_parts = [reference_partition(s).elements for s in sets]
+    pairs = [
+        (tuple(rng.choice("xyz") for _ in range(rng.randint(0, 8))),
+         tuple(rng.choice("xyz") for _ in range(rng.randint(1, 8))),
+         rng.randint(1, 4))
+        for _ in range(40)  # more distinct triples than the BLEU memo holds
+    ]
+    want_counts = []
+    for hyp, ref, max_n in pairs:
+        acc = BleuAccumulator(max_n)
+        reference_bleu_add(acc, hyp, ref)
+        want_counts.append((acc.matched, acc.total))
+
+    errors: list[str] = []
+    rounds = [0] * 16  # per thread, so no update is lost
+    deadline = time.monotonic() + 2.0
+
+    def worker(seed: int) -> None:
+        local = random.Random(seed)
+        while time.monotonic() < deadline and not errors:
+            rounds[seed] += 1
+            i = local.randrange(len(sets))
+            if partition(sets[i]).elements != want_parts[i]:
+                errors.append(f"partition of set {i}")
+            j = local.randrange(len(pairs))
+            hyp, ref, max_n = pairs[j]
+            acc = BleuAccumulator(max_n)
+            acc.add(hyp, ref)
+            if (acc.matched, acc.total) != want_counts[j]:
+                errors.append(f"BLEU counts of pair {j}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(len(rounds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert min(rounds) > 0 and sum(rounds) > 1000
