@@ -13,11 +13,10 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
 from typing import Iterator, Union
 
-from .candidates import CandidateSet
+from .candidates import CandidateSet, record
 
 PointerVector = tuple[int, ...]
 
@@ -27,32 +26,26 @@ _END = object()  # stands past the last token of a candidate
 _last_partition: tuple[tuple[tuple[str, ...], ...], AlignedPartition] | None = None
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(record("Anchor", "token positions")):
     """A token every candidate predicts, with its position in each candidate."""
 
-    token: str
-    positions: PointerVector
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DivergenceRegion:
+class DivergenceRegion(record("DivergenceRegion", "start end segments")):
     """A span between anchors on which candidates disagree.
 
     ``segments[j]`` holds candidate j's tokens over the half-open window
     ``[start[j], end[j])``; it may be empty.
     """
 
-    start: PointerVector
-    end: PointerVector
-    segments: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
 
 PartitionElement = Union[Anchor, DivergenceRegion]
 
 
-@dataclass(frozen=True)
-class AlignedPartition:
+class AlignedPartition(record("AlignedPartition", "elements")):
     """Ordered alternation of anchors and divergence regions.
 
     Consecutive anchors may occur; consecutive regions never do.  For every
@@ -60,7 +53,7 @@ class AlignedPartition:
     element order reproduces the candidate exactly.
     """
 
-    elements: tuple[PartitionElement, ...]
+    __slots__ = ()
 
     def anchors(self) -> Iterator[Anchor]:
         return (el for el in self.elements if isinstance(el, Anchor))

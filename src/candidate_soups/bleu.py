@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
+from .candidates import record
 from .errors import EmptyInput, LengthMismatch
 
 TokenSeq = Sequence[str]
@@ -36,13 +36,10 @@ TokenSeq = Sequence[str]
 BLEU_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class BleuReport:
-    bleu: float
-    ngram_precisions: tuple[float, ...]
-    brevity_penalty: float
-    hyp_length: int
-    ref_length: int
+class BleuReport(
+    record("BleuReport", "bleu ngram_precisions brevity_penalty hyp_length ref_length")
+):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -9,32 +9,53 @@ shared freely between concurrent workers.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from itertools import compress
 from operator import ne
 
 from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 
-logger = logging.getLogger(__name__)
-
 # Scores below this are clamped during validation; prevents -inf from
 # poisoning segment means.  Overridable per call (CLI: CDS_SCORE_FLOOR).
 DEFAULT_SCORE_FLOOR = -30.0
 
+_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+
+def _record_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def record(name: str, fields: str) -> type:
+    """Base class of an immutable record type: a named tuple of ``fields``.
+
+    A record equals only a record of its own type with equal fields, as a
+    frozen dataclass does; its hash is the hash of the field tuple and its
+    repr ``Name(field=value, ...)``.  Subclasses set ``__slots__ = ()``, so
+    assigning any attribute raises AttributeError.  Building one is a
+    ``tuple.__new__`` call, far cheaper than a frozen dataclass's
+    ``object.__setattr__`` per field, and defining the class needs no
+    ``dataclasses`` import.  Build records through their class: the named
+    tuple's ``_make`` and ``_replace`` check ``len``, which
+    ``ScoredCandidate`` and ``CandidateSet`` redefine.
+    """
+    base = namedtuple(name, fields)
+    base.__eq__ = _record_eq
+    base.__ne__ = lambda self, other: not _record_eq(self, other)
+    base.__hash__ = tuple.__hash__
+    return base
+
+
+class ScoredCandidate(record("ScoredCandidate", "tokens scores")):
     """One candidate token sequence with aligned per-token log-probabilities."""
 
-    tokens: tuple[str, ...]
-    scores: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
+    def __new__(cls, tokens: Iterable[str], scores: Iterable[float]) -> ScoredCandidate:
+        return tuple.__new__(cls, (tuple(tokens), tuple(map(float, scores))))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -43,18 +64,19 @@ class ScoredCandidate:
         return math.fsum(self.scores) / len(self.scores)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(record("CandidateSet", "id candidates source")):
     """All candidate translations for one source sentence."""
 
-    id: str
-    candidates: tuple[ScoredCandidate, ...]
-    source: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if self.source is not None:
-            object.__setattr__(self, "source", tuple(self.source))
+    def __new__(
+        cls,
+        id: str,
+        candidates: Iterable[ScoredCandidate],
+        source: Iterable[str] | None = None,
+    ) -> CandidateSet:
+        source = tuple(source) if source is not None else None
+        return tuple.__new__(cls, (id, tuple(candidates), source))
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -97,12 +119,20 @@ def _check_tokens(tokens: tuple[str, ...], where: str) -> None:
         _check_token(tok, where)
 
 
-def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> CandidateSet:
+def validate(
+    cset: CandidateSet,
+    score_floor: float = DEFAULT_SCORE_FLOOR,
+    warn: Callable[[str], object] | None = None,
+) -> CandidateSet:
     """Check all type invariants, clamping scores below ``score_floor``.
 
     Returns the set unchanged when every invariant holds.  Scores below the
-    floor are clamped to it and a warning is logged; scores above zero (or
-    NaN) are an error.
+    floor are clamped to it, and one warning per set says how many were:
+    ``warn(message)`` when a callback is given (the CLI writes it as a
+    diagnostic line), else a ``logging`` warning on the
+    ``candidate_soups.candidates`` logger.  ``logging`` is imported only
+    then, so a caller with a callback never loads it.  Scores above zero
+    (or NaN) are an error.
 
     Raises:
         EmptyCandidate: the set has no candidates, or a candidate no tokens.
@@ -144,9 +174,12 @@ def validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> Ca
         out.append(ScoredCandidate(cand.tokens, tuple(fixed)) if touched else cand)
 
     if clamped:
-        logger.warning(
-            "clamped %d score(s) below %s in candidate set %s", clamped, score_floor, cset.id
-        )
+        if warn is not None:
+            warn(_CLAMP_WARNING % (clamped, score_floor, cset.id))
+        else:
+            import logging
+
+            logging.getLogger(__name__).warning(_CLAMP_WARNING, clamped, score_floor, cset.id)
         return CandidateSet(cset.id, tuple(out), cset.source)
     return cset
 

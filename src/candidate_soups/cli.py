@@ -6,9 +6,13 @@ matches input order.  Per-line failures (malformed JSON or UTF-8, a record
 of the wrong shape or types, an invalid candidate set) are reported to
 stderr as JSON lines ``{"line": N, "error": "..."}`` and the next line is
 processed; the process exits 0 on success, 1 when any line failed, 2 on
-usage errors.  The environment variable ``CDS_SCORE_FLOOR`` overrides the
-default score floor; a value that is not a finite number <= 0 is a usage
-error.  Output is strict JSON (no NaN or Infinity) in valid UTF-8.
+usage errors.  A usage error is reported as one line-0 diagnostic before
+any input is read: an unknown ``--scorer``, ``--max-candidates`` below 1, a
+``--sweep-k`` that is not ``A..B`` with 1 <= A <= B, or a
+``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is not
+a finite number <= 0.  Clamped scores are reported as line-0
+``"warning: ..."`` diagnostics.  Output is strict JSON (no NaN or
+Infinity) in valid UTF-8.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -16,18 +20,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import logging
 import math
 import os
 import re
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from .bleu import BleuAccumulator, bleu_with_smoothing, corpus_bleu
 from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
@@ -37,7 +38,6 @@ from .candidates import (
 )
 from .errors import CdsError, EmptyReference
 from .fusion import FusionResult, candidate_soups
-from .lattice_oracle import build_lattice, oracle_best
 from .scoring import (
     NGramScorer,
     Scorer,
@@ -48,7 +48,29 @@ from .scoring import (
     save_ngram,
     train_ngram,
 )
-from .synth import NoiseConfig, generate_candidates
+
+if TYPE_CHECKING:
+    from .synth import NoiseConfig
+
+# Only ``fuse --oracle-check`` calls these; see ``__getattr__``.
+_ORACLE_NAMES = ("build_lattice", "oracle_best")
+
+
+def _bind_oracle() -> None:
+    """Import the lattice oracle and bind its names here, keeping any already bound."""
+    from . import lattice_oracle
+
+    for name in _ORACLE_NAMES:
+        globals().setdefault(name, getattr(lattice_oracle, name))
+
+
+def __getattr__(name: str):
+    # ``cli.build_lattice`` resolves on first use; ``cmd_fuse`` then calls it
+    # through the module globals, as it calls every other name
+    if name in _ORACLE_NAMES:
+        _bind_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -73,19 +95,29 @@ def _make_scorer(selector: str, score_floor: float) -> Scorer:
         return SelfScorer()
     if selector.startswith("ngram:"):
         return NGramScorer(load_ngram(selector[len("ngram:") :]), score_floor)
-    raise ValueError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
+    raise UsageError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
+
+
+def _record_settings(args: argparse.Namespace) -> tuple[float, Scorer]:
+    """The score floor and scorer of ``fuse`` or ``npd``; bad values are usage errors."""
+    if args.max_candidates is not None and args.max_candidates < 1:
+        raise UsageError(f"--max-candidates must be >= 1, got {args.max_candidates}")
+    floor = _score_floor()
+    return floor, _make_scorer(args.scorer, floor)
 
 
 _NUMBER_TYPES = {int, float}  # exact types: bool is an int subclass, not a score
 
 
-def parse_candidate_record(obj: dict, score_floor: float) -> CandidateSet:
+def parse_candidate_record(
+    obj: dict, score_floor: float, warn: Callable[[str], object] | None = None
+) -> CandidateSet:
     """Turn one wire-format record into a validated CandidateSet.
 
     ``id`` is a string, ``source`` a string, null or absent, ``candidates`` a
     list of objects whose ``tokens`` is a list and ``scores`` a list of
     numbers (not booleans or strings).  Token values are checked by
-    ``validate``.
+    ``validate``, which reports clamped scores to ``warn``.
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -112,7 +144,7 @@ def parse_candidate_record(obj: dict, score_floor: float) -> CandidateSet:
             raise ValueError(f"set {ident!r} candidate {idx}: 'scores' must be a list of numbers")
         candidates.append(ScoredCandidate(tuple(tokens), tuple(scores)))
     source = tuple(source_text.split()) if source_text is not None else None
-    return validate(CandidateSet(ident, tuple(candidates), source), score_floor)
+    return validate(CandidateSet(ident, tuple(candidates), source), score_floor, warn)
 
 
 def candidate_record(cset: CandidateSet) -> dict:
@@ -161,23 +193,19 @@ def _diagnostic(err: IO[str], line_no: int, message: str) -> None:
 
 
 @contextmanager
-def _open_input(path: str, stdin: IO[str], errors: str = "strict"):
+def _open_input(path: str, stdin: IO[str]):
+    # invalid UTF-8 must fail its own line, not the whole stream
     if path == "-":
-        if errors != "strict" and isinstance(stdin, io.TextIOWrapper):
-            stdin.reconfigure(errors=errors)
+        if isinstance(stdin, io.TextIOWrapper):
+            stdin.reconfigure(errors="surrogateescape")
         yield stdin
     else:
-        with open(path, "r", encoding="utf-8", errors=errors) as fp:
+        with _open_text(path) as fp:
             yield fp
 
 
-def _open_records(path: str, stdin: IO[str]):
-    # invalid UTF-8 must fail its own line, not the whole stream
-    return _open_input(path, stdin, errors="surrogateescape")
-
-
 def _open_text(path: str) -> IO[str]:
-    # as for records: a line with invalid UTF-8 is found by _is_invalid_utf8
+    # a line with invalid UTF-8 is found by _is_invalid_utf8
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
@@ -195,6 +223,10 @@ def _iter_records(
     stream: IO[str], err: IO[str], score_floor: float
 ) -> Iterator[tuple[int, CandidateSet | None]]:
     """Yield (line number, parsed set) pairs; parse failures yield None."""
+
+    def warn(message: str) -> None:
+        _diagnostic(err, 0, f"warning: {message}")
+
     for line_no, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -202,7 +234,7 @@ def _iter_records(
         try:
             if _is_invalid_utf8(line):
                 raise ValueError("line is not valid UTF-8")
-            cset = parse_candidate_record(json.loads(line), score_floor)
+            cset = parse_candidate_record(json.loads(line), score_floor, warn)
         except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             # OverflowError: an int score beyond float range;
             # RecursionError: nesting too deep for the json decoder
@@ -213,10 +245,11 @@ def _iter_records(
 
 
 def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor = _score_floor()
-    scorer = _make_scorer(args.scorer, floor)
+    floor, scorer = _record_settings(args)
+    if args.oracle_check:
+        _bind_oracle()  # build_lattice and oracle_best, called below
     failed = False
-    with _open_records(args.input, stdin) as stream:
+    with _open_input(args.input, stdin) as stream:
         for line_no, cset in _iter_records(stream, stderr, floor):
             if cset is None:
                 failed = True
@@ -240,10 +273,9 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 
 
 def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor = _score_floor()
-    scorer = _make_scorer(args.scorer, floor)
+    floor, scorer = _record_settings(args)
     failed = False
-    with _open_records(args.input, stdin) as stream:
+    with _open_input(args.input, stdin) as stream:
         for line_no, cset in _iter_records(stream, stderr, floor):
             if cset is None:
                 failed = True
@@ -259,6 +291,8 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
 
 
 def _load_noise_config(args: argparse.Namespace) -> NoiseConfig:
+    from .synth import NoiseConfig
+
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fp:
@@ -275,10 +309,12 @@ def _load_noise_config(args: argparse.Namespace) -> NoiseConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    return replace(NoiseConfig(), **values)
+    return NoiseConfig(**values)
 
 
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+    from .synth import generate_candidates
+
     floor = _score_floor()
     config = _load_noise_config(args)
     # read once (the file may be a pipe): the corruption vocabulary needs
@@ -320,12 +356,16 @@ class _BadInputLine(Exception):
         self.line_no = line_no
 
 
+def _checked_lines(path: str, fp: IO[str]) -> Iterator[tuple[int, str]]:
+    for line_no, line in enumerate(fp, start=1):
+        if _is_invalid_utf8(line):
+            raise _BadInputLine(path, line_no, "line is not valid UTF-8")
+        yield line_no, line
+
+
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:
     with _open_text(path) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if _is_invalid_utf8(line):
-                raise _BadInputLine(path, line_no, "line is not valid UTF-8")
-            yield line_no, line
+        yield from _checked_lines(path, fp)
 
 
 def _read_token_lines(path: str) -> list[tuple[str, ...]]:
@@ -351,6 +391,8 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
 
 
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+    from .bleu import bleu_with_smoothing, corpus_bleu
+
     try:
         hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
         refs = _read_token_lines(args.ref)
@@ -367,16 +409,21 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 
 def _parse_sweep(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    start, stop = int(lo), int(hi)
+    try:
+        start, stop = int(lo), int(hi)
+    except ValueError:
+        start = stop = 0
     if start < 1 or stop < start:
-        raise ValueError(f"bad sweep range {text!r}")
+        raise UsageError(f"--sweep-k must be A..B with 1 <= A <= B, got {text!r}")
     return start, stop
 
 
 def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+    from .bleu import BleuAccumulator
+
+    sweep = _parse_sweep(args.sweep_k) if args.sweep_k else None
     floor = _score_floor()
     scorer = _make_scorer(args.scorer, floor)
-    sweep = _parse_sweep(args.sweep_k) if args.sweep_k else None
 
     accumulators = {name: BleuAccumulator() for name in ("single", "npd", "cds")}
     sweep_acc: dict[int, dict[str, BleuAccumulator]] = {}
@@ -389,7 +436,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     seen_ids: set[str] = set()
     with (
         _open_text(args.refs) as ref_fp,
-        _open_records(args.input, stdin) as stream,
+        _open_input(args.input, stdin) as stream,
     ):
         records = _iter_records(stream, stderr, floor)
         for line_no, cset in records:
@@ -458,8 +505,13 @@ def _compare_fail(stderr: IO[str], line_no: int, message: str) -> int:
 def cmd_ngram_train(
     args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]
 ) -> int:
-    with _open_input(args.corpus, stdin) as stream:
-        corpus = [line.split() for line in stream if line.strip()]
+    try:
+        with _open_input(args.corpus, stdin) as stream:
+            lines = _checked_lines(args.corpus, stream)
+            corpus = [line.split() for _, line in lines if line.strip()]
+    except _BadInputLine as exc:
+        _diagnostic(stderr, exc.line_no, str(exc))
+        return 1
     model = train_ngram(corpus, n=args.order, alpha=args.alpha)
     save_ngram(model, args.output)
     stdout.write(
@@ -560,17 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _JsonLineLogHandler(logging.Handler):
-    """Keeps stderr machine-readable: log records become diagnostic lines."""
-
-    def __init__(self, stream: IO[str]):
-        super().__init__(level=logging.WARNING)
-        self.stream = stream
-
-    def emit(self, record: logging.LogRecord) -> None:
-        _diagnostic(self.stream, 0, f"{record.levelname.lower()}: {record.getMessage()}")
-
-
 def main(
     argv: Sequence[str] | None = None,
     stdin: IO[str] | None = None,
@@ -582,9 +623,6 @@ def main(
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
-    logger = logging.getLogger("candidate_soups")
-    handler = _JsonLineLogHandler(stderr)
-    logger.addHandler(handler)
     try:
         return args.handler(args, stdin, stdout, stderr)
     except UsageError as exc:
@@ -593,8 +631,6 @@ def main(
     except (CdsError, OSError, ValueError) as exc:
         _diagnostic(stderr, 0, str(exc))
         return 1
-    finally:
-        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

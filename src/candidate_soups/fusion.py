@@ -12,30 +12,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .alignment import Anchor, DivergenceRegion, partition
-from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, validate
+from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, record, validate
 from .scoring import Scorer, SelfScorer, rescore_set
 
 
-@dataclass(frozen=True)
-class RegionChoice:
+class RegionChoice(record("RegionChoice", "region_index chosen segment_scores chosen_tokens")):
     """The decision made for one divergence region."""
 
-    region_index: int
-    chosen: int
-    segment_scores: tuple[float, ...]
-    chosen_tokens: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FusionResult:
+class FusionResult(record("FusionResult", "tokens trace anchors_used")):
     """Fused token sequence plus the per-region decision trace."""
 
-    tokens: tuple[str, ...]
-    trace: tuple[RegionChoice, ...]
-    anchors_used: int
+    __slots__ = ()
 
 
 def region_score(

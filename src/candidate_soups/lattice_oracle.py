@@ -17,46 +17,39 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Union
 
 from .alignment import Anchor, partition
-from .candidates import CandidateSet
+from .candidates import CandidateSet, record
 from .errors import PathExplosion
 
 DEFAULT_PATH_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class AnchorNode:
-    token: str
+class AnchorNode(record("AnchorNode", "token")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LatticeBranch:
+class LatticeBranch(record("LatticeBranch", "candidate tokens score")):
     """One candidate's segment through a region, with its window-mean score."""
 
-    candidate: int
-    tokens: tuple[str, ...]
-    score: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegionGroup:
+class RegionGroup(record("RegionGroup", "branches")):
     """All candidate branches spanning one divergence region."""
 
-    branches: tuple[LatticeBranch, ...]
+    __slots__ = ()
 
 
 LatticeElement = Union[AnchorNode, RegionGroup]
 
 
-@dataclass(frozen=True)
-class SimplifiedLattice:
+class SimplifiedLattice(record("SimplifiedLattice", "elements")):
     """Anchor nodes alternating with region groups; every path is a fusion."""
 
-    elements: tuple[LatticeElement, ...]
+    __slots__ = ()
 
     def region_groups(self) -> list[RegionGroup]:
         return [el for el in self.elements if isinstance(el, RegionGroup)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 
@@ -26,6 +25,7 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
+    record,
     remove_adjacent_duplicates,
 )
 from .errors import EmptyCorpus, ScorerFailure
@@ -68,20 +68,20 @@ class SelfScorer(Scorer):
         return candidate.scores
 
 
-@dataclass(frozen=True)
-class NGramModel:
+class NGramModel(record("NGramModel", "order alpha counts context_totals vocabulary")):
     """Add-alpha-smoothed n-gram counts; immutable once trained.
 
-    ``vocabulary`` contains every observed target, including the end symbol.
+    ``counts`` maps a context tuple to its continuations' counts,
+    ``context_totals`` a context to the sum of those, and ``vocabulary`` (a
+    frozenset) holds every observed target, including the end symbol.
     Probabilities normalize over the vocabulary plus one unknown class, so
     for every context the probabilities of all events sum to one.
     """
 
-    order: int
-    alpha: float
-    counts: dict[tuple[str, ...], dict[str, int]] = field(repr=False)
-    context_totals: dict[tuple[str, ...], int] = field(repr=False)
-    vocabulary: frozenset[str] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"NGramModel(order={self.order!r}, alpha={self.alpha!r})"
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """p(token | context) under add-alpha smoothing.

@@ -97,6 +97,30 @@ class TestValidate:
         assert out.candidates[0].scores == (-30.0,)
         assert any("clamped" in rec.message for rec in caplog.records)
 
+    def test_clamp_without_callback_logs_to_the_candidates_logger(self, caplog):
+        cset = CandidateSet("s", (cand(["a", "b"], [-45.0, -31.0]),))
+        with caplog.at_level(logging.WARNING, logger="candidate_soups"):
+            validate(cset, score_floor=-30.0)
+        (rec,) = caplog.records
+        assert rec.name == "candidate_soups.candidates"
+        assert rec.levelno == logging.WARNING
+        assert rec.getMessage() == "clamped 2 score(s) below -30.0 in candidate set s"
+
+    def test_clamp_with_callback_calls_it_instead_of_logging(self, caplog):
+        cset = CandidateSet("s", (cand(["a"], [-45.0]),))
+        messages = []
+        with caplog.at_level(logging.DEBUG):
+            out = validate(cset, -30.0, messages.append)
+        assert out.candidates[0].scores == (-30.0,)
+        assert messages == ["clamped 1 score(s) below -30.0 in candidate set s"]
+        assert caplog.records == []
+
+    def test_callback_not_called_without_clamping(self):
+        cset = CandidateSet("s", (cand(["a"], [-1.0]),))
+        messages = []
+        assert validate(cset, -30.0, messages.append) is cset
+        assert messages == []
+
     def test_positive_score(self):
         cset = CandidateSet("s", (cand(["a"], [0.5]),))
         with pytest.raises(PositiveScore):

@@ -554,8 +554,26 @@ class TestNgramTrain:
 
     def test_unknown_scorer_rejected(self):
         code, _, err = run(["fuse", "--scorer", "bogus"], cross_error_line())
-        assert code == 1
+        assert code == 2
         assert "unknown scorer" in json.loads(err)["error"]
+
+    def test_invalid_utf8_line_is_named_and_no_model_written(self, tmp_path):
+        # the codec error used to stop training with a "line 0" diagnostic
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a b\n\xff c\nd e\n")
+        model_path = tmp_path / "lm.ngram"
+        code, out, err = run(["ngram-train", str(corpus), "-o", str(model_path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"line": 2, "error": f"{corpus}: line is not valid UTF-8"}
+        assert not model_path.exists()
+
+    def test_invalid_utf8_line_on_stdin(self, tmp_path):
+        # a half-written model used to be left behind
+        model_path = tmp_path / "lm.ngram"
+        proc = run_module(["ngram-train", "-", "-o", str(model_path)], b"a b\n\xff c\n")
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert json.loads(proc.stderr) == {"line": 2, "error": "-: line is not valid UTF-8"}
+        assert not model_path.exists()
 
 
 class TestWireFormat:
@@ -654,6 +672,33 @@ def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
     (line,) = err.getvalue().splitlines()
     diagnostic = json.loads(line)
     assert "CDS_SCORE_FLOOR" in diagnostic["error"] and repr(value) in diagnostic["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fuse", "--max-candidates", "0"], "--max-candidates"),
+        (["fuse", "--max-candidates", "-1"], "--max-candidates"),
+        (["npd", "--max-candidates", "0"], "--max-candidates"),
+        (["npd", "--max-candidates", "-1"], "--max-candidates"),
+        (["fuse", "--scorer", "bogus"], "unknown scorer"),
+        (["npd", "--scorer", "bogus"], "unknown scorer"),
+        (["compare", "--refs", "unused.txt", "--scorer", "bogus"], "unknown scorer"),
+    ]
+    + [
+        (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
+        for value in ["0..3", "x", "3..1", "1..", "..3", "1..2..3", "0..0"]
+    ],
+)
+def test_bad_flag_value_is_usage_error(argv, named):
+    # used to fail every record, drop candidates silently, or exit 1
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
+    assert code == 2
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["line"] == 0 and named in diagnostic["error"]
 
 
 def test_nan_score_floor_no_longer_leaks_infinity_into_trace(monkeypatch):

@@ -1,0 +1,113 @@
+"""The package's immutable record types behave as the frozen dataclasses they replaced.
+
+Each type keeps its constructor coercion, ``len``, value equality within
+its own type, the hash of its field tuple, its ``Name(field=value, ...)``
+repr, and refuses attribute assignment.
+"""
+
+import pytest
+
+from candidate_soups import (
+    AlignedPartition,
+    Anchor,
+    AnchorNode,
+    BleuReport,
+    CandidateSet,
+    DivergenceRegion,
+    FusionResult,
+    LatticeBranch,
+    NGramModel,
+    RegionChoice,
+    RegionGroup,
+    ScoredCandidate,
+    SimplifiedLattice,
+)
+
+SC = ScoredCandidate(("a", "b"), (0.0, -1.0))
+SC_REPR = "ScoredCandidate(tokens=('a', 'b'), scores=(0.0, -1.0))"
+
+# (type, constructor arguments, the repr the frozen dataclass gave)
+CASES = [
+    (ScoredCandidate, (("a", "b"), (0.0, -1.0)), SC_REPR),
+    (CandidateSet, ("s", (SC,), ("x", "y")),
+     f"CandidateSet(id='s', candidates=({SC_REPR},), source=('x', 'y'))"),
+    (CandidateSet, ("s", (SC,)), f"CandidateSet(id='s', candidates=({SC_REPR},), source=None)"),
+    (Anchor, ("a", (0, 1)), "Anchor(token='a', positions=(0, 1))"),
+    (DivergenceRegion, ((0, 0), (1, 2), (("a",), ("b", "c"))),
+     "DivergenceRegion(start=(0, 0), end=(1, 2), segments=(('a',), ('b', 'c')))"),
+    (AlignedPartition, ((Anchor("a", (0, 1)),),),
+     "AlignedPartition(elements=(Anchor(token='a', positions=(0, 1)),))"),
+    (RegionChoice, (0, 1, (-0.5, -0.25), ("b",)),
+     "RegionChoice(region_index=0, chosen=1, segment_scores=(-0.5, -0.25), "
+     "chosen_tokens=('b',))"),
+    (FusionResult, (("a", "b"), (), 2),
+     "FusionResult(tokens=('a', 'b'), trace=(), anchors_used=2)"),
+    (NGramModel, (2, 0.1, {(): {"a": 1}}, {(): 1}, frozenset({"a"})),
+     "NGramModel(order=2, alpha=0.1)"),
+    (BleuReport, (50.0, (1.0, 0.5), 1.0, 3, 4),
+     "BleuReport(bleu=50.0, ngram_precisions=(1.0, 0.5), brevity_penalty=1.0, "
+     "hyp_length=3, ref_length=4)"),
+    (AnchorNode, ("a",), "AnchorNode(token='a')"),
+    (LatticeBranch, (0, ("a",), -0.5), "LatticeBranch(candidate=0, tokens=('a',), score=-0.5)"),
+    (RegionGroup, ((LatticeBranch(0, ("a",), -0.5),),),
+     "RegionGroup(branches=(LatticeBranch(candidate=0, tokens=('a',), score=-0.5),))"),
+    (SimplifiedLattice, ((AnchorNode("a"),),),
+     "SimplifiedLattice(elements=(AnchorNode(token='a'),))"),
+]
+IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("cls, args, want", CASES, ids=IDS)
+def test_repr(cls, args, want):
+    assert repr(cls(*args)) == want
+
+
+@pytest.mark.parametrize("cls, args, want", CASES, ids=IDS)
+def test_equality_is_by_value_within_the_type(cls, args, want):
+    one, two = cls(*args), cls(*args)
+    assert one == two and not one != two
+    assert one != tuple(args) and not one == tuple(args)
+    assert tuple(args) != one
+    assert one != object()
+    other_first = (f"other {args[0]}",) + tuple(args[1:])
+    assert one != cls(*other_first)
+
+
+@pytest.mark.parametrize("cls, args, want", CASES, ids=IDS)
+def test_hash_is_the_field_tuple_hash(cls, args, want):
+    record = cls(*args)
+    if cls is NGramModel:  # its count dicts are unhashable, as they were
+        with pytest.raises(TypeError):
+            hash(record)
+        return
+    fields = tuple(getattr(record, name) for name in cls.__match_args__)
+    assert hash(record) == hash(cls(*args)) == hash(fields)
+    assert {record, cls(*args)} == {record}
+
+
+@pytest.mark.parametrize("cls, args, want", CASES, ids=IDS)
+def test_attributes_cannot_be_assigned(cls, args, want):
+    record = cls(*args)
+    with pytest.raises(AttributeError):
+        setattr(record, cls.__match_args__[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == want
+
+
+def test_scored_candidate_coerces_lists_and_ints():
+    cand = ScoredCandidate(["a", "b"], [0, -1])
+    assert cand == SC
+    assert cand.tokens == ("a", "b") and type(cand.tokens) is tuple
+    assert all(type(s) is float for s in cand.scores)
+    assert len(cand) == 2
+    assert ScoredCandidate(tokens=["a"], scores=[-2]).scores == (-2.0,)
+
+
+def test_candidate_set_coerces_lists():
+    cset = CandidateSet("s", [SC, SC], ["x"])
+    assert type(cset.candidates) is tuple and type(cset.source) is tuple
+    assert cset == CandidateSet("s", (SC, SC), ("x",))
+    assert len(cset) == 2
+    assert CandidateSet(id="t", candidates=[SC]).source is None
+    assert len(CandidateSet("e", [])) == 0 and not CandidateSet("e", [])
