@@ -7,10 +7,12 @@ score window has the highest mean.  Includes the keep-one-candidate
 baseline, a best-path lattice oracle, a synthetic candidate generator,
 and a corpus BLEU evaluator.
 
-The names below are loaded on first use (PEP 562): ``import
-candidate_soups`` imports no submodule, and ``candidate_soups.X`` or
-``from candidate_soups import X`` imports only the module that defines
-``X``.  A ``cds`` command thus compiles and runs only the code it uses.
+The names below are the library API that README's "Library usage" lists;
+everything else is imported from its submodule (``candidate_soups.alignment``
+and so on).  They are loaded on first use (PEP 562): ``import
+candidate_soups`` imports no submodule, and ``from candidate_soups import X``
+imports only the module that defines ``X``.  A ``cds`` command thus compiles
+and runs only the code it uses.
 """
 
 from importlib import import_module
@@ -19,29 +21,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "alignment": (
-        "AlignedPartition", "Anchor", "DivergenceRegion", "PointerVector",
-        "find_next_anchor", "partition",
-    ),
-    "bleu": ("BleuAccumulator", "BleuReport", "bleu_with_smoothing", "corpus_bleu"),
-    "candidates": (
-        "DEFAULT_SCORE_FLOOR", "CandidateSet", "ScoredCandidate",
-        "remove_adjacent_duplicates", "validate",
-    ),
-    "errors": (
-        "CdsError", "EmptyCandidate", "EmptyCorpus", "EmptyInput", "EmptyReference",
-        "InvalidToken", "LengthMismatch", "PathExplosion", "PositiveScore", "ScorerFailure",
-    ),
-    "fusion": ("FusionResult", "RegionChoice", "candidate_soups", "region_score", "select_segment"),
-    "lattice_oracle": (
-        "AnchorNode", "LatticeBranch", "RegionGroup", "SimplifiedLattice",
-        "build_lattice", "enumerate_paths", "oracle_best", "path_count",
-    ),
-    "scoring": (
-        "NGramModel", "NGramScorer", "Scorer", "SelfScorer", "load_ngram", "ngram_score",
-        "npd_select", "rescore_set", "save_ngram", "train_ngram",
-    ),
-    "synth": ("NoiseConfig", "generate_candidates", "generate_corpus"),
+    "bleu": ("BleuAccumulator", "Reference", "corpus_bleu"),
+    "candidates": ("CandidateSet", "ScoredCandidate", "validate"),
+    "errors": ("CdsError",),
+    "fusion": ("FusionResult", "candidate_soups"),
+    "scoring": ("NGramScorer", "Scorer", "SelfScorer", "load_ngram", "npd_select", "train_ngram"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -49,8 +33,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a submodule: importing it binds it here
-        return import_module(f".{name}", __name__)
+    # submodules are not listed: ``from candidate_soups import alignment``
+    # imports the submodule when this raises
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{_HOME[name]}", __name__), name)
@@ -59,4 +43,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))
+    return sorted(set(globals()) | set(_HOME))

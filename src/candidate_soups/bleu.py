@@ -6,12 +6,11 @@ per hypothesis.  Token streams are compared as-is; callers control
 tokenization.
 
 N-grams are counted with ``Counter(zip(...))`` over shifted slices, so the
-counting runs in C.  ``add`` takes a pair's clipped-match counts from a memo
-of the last ``BLEU_MEMO_SIZE`` (hypothesis, reference, max_n) triples, and a
-reference's counts for every order are computed once and reused while
-consecutive misses pass the same reference.  ``cds compare`` adds one
-reference per record for each method and each k of its sweep, and most of
-those hypotheses coincide.
+counting runs in C.  A ``Reference`` counts one reference sentence's n-grams
+once and keeps the clipped matches of each distinct hypothesis scored
+against it.  ``cds compare`` builds one per record and adds every method's
+output (and each k of its sweep) against it, so the hypotheses that
+coincide within a record are clipped once; nothing is kept between records.
 """
 
 from __future__ import annotations
@@ -19,21 +18,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import repeat
 
 from .candidates import record
 from .errors import EmptyInput, LengthMismatch
 
 TokenSeq = Sequence[str]
-
-# Distinct (hypothesis, reference, max_n) triples whose clipped matches are
-# kept.  One record of ``compare --sweep-k`` adds at most 2k distinct
-# hypotheses for a set of k candidates (every deduped candidate, and one
-# fusion per subset size of 2..k plus the full set), all against one
-# reference, so 16 holds a whole record for k <= 8.  Records do not share
-# references, so more entries would only hold dead pairs.
-BLEU_MEMO_SIZE = 16
 
 
 class BleuReport(
@@ -55,30 +45,52 @@ def _ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-@lru_cache(maxsize=1)
-def _reference_counts(reference: tuple[str, ...], max_n: int) -> tuple[Counter, ...]:
-    """N-gram counts of orders 1..max_n; callers only read them."""
-    return tuple(_ngram_counts(reference, n) for n in range(1, max_n + 1))
+class Reference:
+    """One non-empty reference sentence, with its n-gram counts of orders 1..max_n.
 
+    ``clipped_matches`` remembers its result for each distinct hypothesis
+    in a dict that lives as long as this object, so build one per reference
+    sentence and let it go with that sentence.  It serves any
+    ``BleuAccumulator`` whose ``max_n`` is at most its own.  Not meant to be
+    shared between threads.
 
-@lru_cache(maxsize=BLEU_MEMO_SIZE)
-def _clipped_matches(
-    hypothesis: tuple[str, ...], reference: tuple[str, ...], max_n: int
-) -> tuple[int, ...]:
-    """Clipped matches of orders 1..min(max_n, len(hypothesis)).
-
-    Each hypothesis n-gram counts at most as often as in the reference.
-    Orders longer than the hypothesis have no n-grams and are left out.
+    Raises EmptyInput for an empty reference.
     """
-    matches = []
-    for n, ref_counts in enumerate(_reference_counts(reference, max_n), start=1):
-        hyp_counts = _ngram_counts(hypothesis, n)
-        if not hyp_counts:
-            break  # no longer n-gram fits either
-        matches.append(
-            sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
-        )
-    return tuple(matches)
+
+    __slots__ = ("tokens", "max_n", "_counts", "_matches")
+
+    def __init__(self, tokens: TokenSeq, max_n: int = 4):
+        if max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {max_n}")
+        if not tokens:
+            raise EmptyInput("reference sentence is empty")
+        self.tokens = tuple(tokens)
+        self.max_n = max_n
+        self._counts = [_ngram_counts(self.tokens, n) for n in range(1, max_n + 1)]
+        self._matches: dict[tuple[str, ...], tuple[int, ...]] = {}
+
+    def clipped_matches(self, hypothesis: TokenSeq) -> tuple[int, ...]:
+        """Clipped matches of orders 1..min(max_n, len(hypothesis)).
+
+        Each hypothesis n-gram counts at most as often as in the reference.
+        Orders longer than the hypothesis have no n-grams and are left out.
+        """
+        hypothesis = tuple(hypothesis)
+        matches = self._matches.get(hypothesis)
+        if matches is None:
+            matches = self._matches[hypothesis] = self._clip(hypothesis)
+        return matches
+
+    def _clip(self, hypothesis: tuple[str, ...]) -> tuple[int, ...]:
+        matches = []
+        for n, ref_counts in enumerate(self._counts, start=1):
+            hyp_counts = _ngram_counts(hypothesis, n)
+            if not hyp_counts:
+                break  # no longer n-gram fits either
+            matches.append(
+                sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
+            )
+        return tuple(matches)
 
 
 class BleuAccumulator:
@@ -94,14 +106,25 @@ class BleuAccumulator:
         self.ref_length = 0
         self.pairs = 0
 
-    def add(self, hypothesis: TokenSeq, reference: TokenSeq) -> None:
-        if not reference:
-            raise EmptyInput("reference sentence is empty")
+    def add(self, hypothesis: TokenSeq, reference: Reference | TokenSeq) -> None:
+        """Count one sentence pair.
+
+        ``reference`` is a ``Reference`` of order at least ``max_n``, which
+        callers that score several hypotheses against one sentence build
+        once and pass to every add, or a plain token sequence, counted for
+        this pair alone.  Raises EmptyInput for an empty reference.
+        """
+        if not isinstance(reference, Reference):
+            reference = Reference(reference, self.max_n)
+        elif reference.max_n < self.max_n:
+            raise ValueError(
+                f"reference counts n-grams up to {reference.max_n}, accumulator needs {self.max_n}"
+            )
+        matches = reference.clipped_matches(hypothesis)
         self.pairs += 1
         self.hyp_length += len(hypothesis)
-        self.ref_length += len(reference)
-        matches = _clipped_matches(tuple(hypothesis), tuple(reference), self.max_n)
-        for n, matched in enumerate(matches, start=1):
+        self.ref_length += len(reference.tokens)
+        for n, matched in enumerate(matches[: self.max_n], start=1):
             self.matched[n - 1] += matched
             self.total[n - 1] += len(hypothesis) - n + 1
 

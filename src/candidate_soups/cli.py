@@ -7,7 +7,8 @@ of the wrong shape or types, an invalid candidate set) are reported to
 stderr as JSON lines ``{"line": N, "error": "..."}`` and the next line is
 processed; the process exits 0 on success, 1 when any line failed, 2 on
 usage errors.  A usage error is reported as one line-0 diagnostic before
-any input is read: an unknown ``--scorer``, ``--max-candidates`` below 1, a
+any input is read: an argument argparse rejects (unknown, missing or not
+of its type), an unknown ``--scorer``, ``--max-candidates`` below 1, a
 ``--sweep-k`` that is not ``A..B`` with 1 <= A <= B, or a
 ``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is not
 a finite number <= 0.  Clamped scores are reported as line-0
@@ -75,6 +76,14 @@ def __getattr__(name: str):
 
 class UsageError(Exception):
     """Bad configuration: reported once, before any input is read, with exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (an unknown, missing or malformed argument)
+    as ``UsageError``, so they reach stderr as a JSON diagnostic too."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _score_floor() -> float:
@@ -419,7 +428,7 @@ def _parse_sweep(text: str) -> tuple[int, int]:
 
 
 def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    from .bleu import BleuAccumulator
+    from .bleu import BleuAccumulator, Reference
 
     sweep = _parse_sweep(args.sweep_k) if args.sweep_k else None
     floor = _score_floor()
@@ -452,7 +461,9 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
                 return _compare_fail(
                     stderr, line_no, f"reference line {sentences + 1} is not valid UTF-8"
                 )
-            reference = tuple(ref_line.split())
+            # every method and sweep step below is scored against this one record's
+            # n-gram counts, and each distinct output is clipped once
+            reference = Reference(ref_line.split())
             sentences += 1
 
             single = remove_adjacent_duplicates(cset.candidates[0])
@@ -537,7 +548,7 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cds",
         description="Fuse scored candidate token sequences (and baselines) over JSON lines.",
     )
@@ -621,9 +632,8 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args, stdin, stdout, stderr)
     except UsageError as exc:
         _diagnostic(stderr, 0, str(exc))

@@ -29,10 +29,6 @@ class EmptyCorpus(CdsError):
     """A training corpus contains no sentences."""
 
 
-class PathExplosion(CdsError):
-    """A lattice has more paths than the enumeration cap allows."""
-
-
 class EmptyReference(CdsError):
     """A reference sentence used for candidate generation is empty."""
 

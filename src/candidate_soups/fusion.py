@@ -30,25 +30,9 @@ class FusionResult(record("FusionResult", "tokens trace anchors_used")):
     __slots__ = ()
 
 
-def region_score(
-    cand_index: int,
-    region: DivergenceRegion,
-    scores: Sequence[Sequence[float]],
-) -> float:
-    """Mean log-probability of candidate ``cand_index`` over the region window.
-
-    The window is the half-open index range
-    ``[max(0, start - 1), min(len, end + 1))``: the segment plus one
-    bounding anchor token on each side, clamped at the sequence boundaries.
-    It is never empty (it always contains at least one anchor or one token).
-    """
-    j = cand_index
-    window = _window(scores[j], region.start[j], region.end[j])
-    return math.fsum(window) / len(window)
-
-
 def _window(cand_scores: Sequence[float], start: int, end: int) -> Sequence[float]:
-    # slicing clamps the upper bound to the sequence end
+    # the segment plus one bounding anchor token on each side, clamped at the
+    # sequence edges (slicing clamps the upper bound); never empty
     return cand_scores[start - 1 if start else 0 : end + 1]
 
 

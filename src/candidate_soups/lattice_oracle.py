@@ -14,7 +14,6 @@ bug on either side shows up as a mismatch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from operator import attrgetter
@@ -22,9 +21,6 @@ from typing import Union
 
 from .alignment import Anchor, partition
 from .candidates import CandidateSet, record
-from .errors import PathExplosion
-
-DEFAULT_PATH_CAP = 10**6
 
 
 class AnchorNode(record("AnchorNode", "token")):
@@ -106,22 +102,6 @@ def _assemble(lattice: SimplifiedLattice, segments: Sequence[Sequence[str]]) -> 
             out.extend(segments[region])
             region += 1
     return tuple(out)
-
-
-def enumerate_paths(
-    lattice: SimplifiedLattice, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[str, ...]]:
-    """All token sequences obtainable by picking one distinct branch per region.
-
-    Branches with identical tokens within a region are emitted once, in
-    order of first appearance.  Raises PathExplosion when the path count
-    exceeds ``cap``.
-    """
-    count = path_count(lattice)
-    if count > cap:
-        raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
-    groups = [dict.fromkeys(b.tokens for b in g.branches) for g in lattice.region_groups()]
-    return [_assemble(lattice, combo) for combo in itertools.product(*groups)]
 
 
 def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:

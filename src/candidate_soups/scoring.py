@@ -43,22 +43,20 @@ NGRAM_MEMO_SIZE = 64
 
 
 class Scorer:
-    """Assigns per-token log-probabilities (each <= 0) to a token sequence.
+    """Assigns per-token log-probabilities (each <= 0) to a candidate's tokens.
 
-    Implementations must be deterministic and safe for concurrent read-only
-    use after construction.
+    ``rescore`` is the one method a scorer defines.  Implementations must be
+    deterministic and safe for concurrent read-only use after construction.
     """
 
-    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> Sequence[float]:
-        """Return one log-probability per input token.
+    def rescore(self, source: Sequence[str] | None, candidate: ScoredCandidate) -> Sequence[float]:
+        """Return one log-probability per token of ``candidate``.
 
-        The sequence may be an immutable tuple shared with other callers.
+        A scorer may read the candidate's stored scores, its tokens, or the
+        source.  The sequence may be an immutable tuple shared with other
+        callers; returning ``candidate.scores`` itself keeps the candidate.
         """
         raise NotImplementedError
-
-    def rescore(self, source: Sequence[str] | None, candidate: ScoredCandidate) -> Sequence[float]:
-        """Scores for a whole candidate; defaults to re-scoring its tokens."""
-        return self.score(source, candidate.tokens)
 
 
 class SelfScorer(Scorer):
@@ -171,8 +169,11 @@ class NGramScorer(Scorer):
             lambda tokens: tuple(ngram_score(model, tokens, score_floor))
         )
 
-    def score(self, source: Sequence[str] | None, tokens: Sequence[str]) -> tuple[float, ...]:
-        return self._memo(tuple(tokens))
+    def rescore(
+        self, source: Sequence[str] | None, candidate: ScoredCandidate
+    ) -> tuple[float, ...]:
+        """Scores of ``candidate.tokens``; its stored scores play no part."""
+        return self._memo(tuple(candidate.tokens))
 
 
 def save_ngram(model: NGramModel, path: str) -> None:

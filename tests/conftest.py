@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from candidate_soups import NoiseConfig, generate_corpus, scoring
+from candidate_soups import scoring
+from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import random_references, word_vocab
 
 

@@ -10,31 +10,24 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-from candidate_soups import (
-    DEFAULT_SCORE_FLOOR,
-    AlignedPartition,
-    Anchor,
-    AnchorNode,
-    BleuAccumulator,
-    CandidateSet,
-    DivergenceRegion,
+from candidate_soups import BleuAccumulator, CandidateSet, CdsError, FusionResult, ScoredCandidate
+from candidate_soups.alignment import AlignedPartition, Anchor, DivergenceRegion, PointerVector
+from candidate_soups.candidates import DEFAULT_SCORE_FLOOR
+from candidate_soups.errors import (
     EmptyCandidate,
     EmptyInput,
-    FusionResult,
     InvalidToken,
-    LatticeBranch,
     LengthMismatch,
-    NGramModel,
-    PathExplosion,
-    PointerVector,
     PositiveScore,
-    RegionChoice,
-    ScoredCandidate,
+)
+from candidate_soups.fusion import RegionChoice, select_segment
+from candidate_soups.lattice_oracle import (
+    AnchorNode,
+    LatticeBranch,
     SimplifiedLattice,
     path_count,
 )
-from candidate_soups.lattice_oracle import DEFAULT_PATH_CAP
-from candidate_soups.scoring import START_SYMBOL
+from candidate_soups.scoring import START_SYMBOL, NGramModel
 
 # --- two candidates whose errors sit in opposite halves -------------------
 # Candidate 0 garbles "required"; candidate 1 garbles "costs".  Error tokens
@@ -326,6 +319,37 @@ def reference_candidate_soups(
         )
         tokens.extend(element.segments[chosen])
     return FusionResult(tuple(tokens), tuple(trace), anchors)
+
+
+# --- window means and lattice paths, as tests read them ------------------------
+
+
+def region_score(cand_index: int, region: DivergenceRegion, scores) -> float:
+    """Candidate ``cand_index``'s window mean over ``region``, as fusion computes it."""
+    return select_segment(region, scores).segment_scores[cand_index]
+
+
+DEFAULT_PATH_CAP = 10**6
+
+
+class PathExplosion(CdsError):
+    """A lattice has more paths than the enumeration cap allows."""
+
+
+def enumerate_paths(
+    lattice: SimplifiedLattice, cap: int = DEFAULT_PATH_CAP
+) -> list[tuple[str, ...]]:
+    """All token sequences obtainable by picking one distinct branch per region.
+
+    Branches with identical tokens within a region are emitted once, in
+    order of first appearance.  Raises PathExplosion when the path count
+    exceeds ``cap``.
+    """
+    count = path_count(lattice)
+    if count > cap:
+        raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
+    groups = [dict.fromkeys(b.tokens for b in g.branches) for g in lattice.region_groups()]
+    return [_reference_assemble(lattice, combo) for combo in itertools.product(*groups)]
 
 
 # --- the exhaustive lattice oracle, frozen ------------------------------------

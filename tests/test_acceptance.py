@@ -14,29 +14,27 @@ import pytest
 
 from candidate_soups import (
     CandidateSet,
-    NoiseConfig,
     ScoredCandidate,
     SelfScorer,
-    build_lattice,
     candidate_soups,
     corpus_bleu,
-    enumerate_paths,
-    generate_corpus,
     npd_select,
-    oracle_best,
-    partition,
-    remove_adjacent_duplicates,
-    rescore_set,
     train_ngram,
     validate,
 )
+from candidate_soups.alignment import partition
+from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main
+from candidate_soups.lattice_oracle import build_lattice, oracle_best
+from candidate_soups.scoring import rescore_set
+from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
     CROSS_ERROR_SCORES,
     CROSS_ERROR_TOKENS,
     THREE_WAY_ANCHORS,
     THREE_WAY_FUSED,
+    enumerate_paths,
     random_candidate,
     random_candidate_set,
     random_references,

@@ -2,15 +2,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from candidate_soups import (
-    Anchor,
-    CandidateSet,
-    DivergenceRegion,
-    ScoredCandidate,
-    find_next_anchor,
-    partition,
-    remove_adjacent_duplicates,
-)
+from candidate_soups import CandidateSet, ScoredCandidate
+from candidate_soups.alignment import Anchor, DivergenceRegion, find_next_anchor, partition
+from candidate_soups.candidates import remove_adjacent_duplicates
 from helpers import (
     is_subsequence,
     lcs_length,

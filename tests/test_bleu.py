@@ -3,12 +3,9 @@ import random
 
 import pytest
 
-from candidate_soups import (
-    EmptyInput,
-    LengthMismatch,
-    bleu_with_smoothing,
-    corpus_bleu,
-)
+from candidate_soups import BleuAccumulator, Reference, corpus_bleu
+from candidate_soups.bleu import bleu_with_smoothing
+from candidate_soups.errors import EmptyInput, LengthMismatch
 from helpers import random_references, word_vocab
 
 
@@ -54,6 +51,18 @@ def test_empty_corpus():
 def test_empty_reference_sentence():
     with pytest.raises(EmptyInput):
         corpus_bleu([["a"]], [[]])
+    with pytest.raises(EmptyInput):
+        Reference([])
+
+
+def test_reference_serves_accumulators_up_to_its_order():
+    reference = Reference(["a", "b", "c"], max_n=2)
+    low, plain = BleuAccumulator(1), BleuAccumulator(1)
+    low.add(["a", "b"], reference)
+    plain.add(["a", "b"], ["a", "b", "c"])
+    assert (low.matched, low.total) == (plain.matched, plain.total) == ([2], [2])
+    with pytest.raises(ValueError, match="up to 2"):
+        BleuAccumulator(3).add(["a", "b"], reference)
 
 
 def test_smoothing_inactive_when_all_precisions_positive():

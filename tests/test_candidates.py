@@ -3,16 +3,9 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
-from candidate_soups import (
-    CandidateSet,
-    EmptyCandidate,
-    InvalidToken,
-    LengthMismatch,
-    PositiveScore,
-    ScoredCandidate,
-    remove_adjacent_duplicates,
-    validate,
-)
+from candidate_soups import CandidateSet, ScoredCandidate, validate
+from candidate_soups.candidates import remove_adjacent_duplicates
+from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 from helpers import dedup_by_runs
 
 

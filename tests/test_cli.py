@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -6,25 +5,16 @@ import os
 import random
 import subprocess
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import (
-    DEFAULT_SCORE_FLOOR,
-    NGramScorer,
-    NoiseConfig,
-    Scorer,
-    alignment,
-    bleu,
-    cli,
-    generate_corpus,
-    remove_adjacent_duplicates,
-)
+from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli
+from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
+from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
     CROSS_ERROR_SCORES,
@@ -459,8 +449,8 @@ class TestCompareScoresEachCandidateOnce:
             def __init__(self, model, score_floor):
                 self.model, self.score_floor = model, score_floor
 
-            def score(self, source, tokens):
-                return NGramScorer(self.model, self.score_floor).score(source, tokens)
+            def rescore(self, source, candidate):
+                return NGramScorer(self.model, self.score_floor).rescore(source, candidate)
 
         monkeypatch.setattr(cli, "NGramScorer", FreshScorer)
         code, fresh, _ = run(argv, records)
@@ -472,7 +462,7 @@ class TestCompareScoresEachCandidateOnce:
 
 
 class TestEachInputAlignedAndScoredOnce:
-    """The partition memo and the BLEU memo remove repeats within a record."""
+    """The partition memo and each record's BLEU ``Reference`` remove repeats within a record."""
 
     @pytest.fixture
     def records(self, tmp_path):
@@ -508,28 +498,31 @@ class TestEachInputAlignedAndScoredOnce:
     def test_sweep_computes_clipped_matches_once_per_distinct_triple(self, records, monkeypatch):
         refs, lines = records
         computed, added = [], []
-        compute = bleu._clipped_matches.__wrapped__
+        original_clip = bleu.Reference._clip
 
-        def counting(hypothesis, reference, max_n):
-            computed.append((hypothesis, reference, max_n))
-            return compute(hypothesis, reference, max_n)
+        def counting(self, hypothesis):
+            computed.append((hypothesis, self.tokens, self.max_n))
+            return original_clip(self, hypothesis)
 
         original_add = bleu.BleuAccumulator.add
 
         def recording(self, hypothesis, reference):
-            added.append((tuple(hypothesis), tuple(reference), self.max_n))
+            # holding each Reference keeps its id unique for the whole run
+            added.append((tuple(hypothesis), reference, self.max_n))
             return original_add(self, hypothesis, reference)
 
-        # a fresh memo of the same size, so no earlier test's entries hit
-        memo = functools.lru_cache(maxsize=bleu.BLEU_MEMO_SIZE)(counting)
-        monkeypatch.setattr(bleu, "_clipped_matches", memo)
+        monkeypatch.setattr(bleu.Reference, "_clip", counting)
         monkeypatch.setattr(bleu.BleuAccumulator, "add", recording)
         code, _, err = run(["compare", "--refs", str(refs), "--sweep-k", "1..7", "--json"], lines)
         assert code == 0, err
         assert len(added) == 17 * 30
-        # one record's adds share its reference
-        per_record = [list(group) for _, group in itertools.groupby(added, key=itemgetter(1))]
-        assert len(per_record) == 30
+        # each record's 17 adds share one Reference, built for that record
+        per_record = [
+            [(hyp, ref.tokens, max_n) for hyp, ref, max_n in group]
+            for _, group in itertools.groupby(added, key=lambda add: id(add[1]))
+        ]
+        assert [len(group) for group in per_record] == [17] * 30
+        assert len({id(ref) for _, ref, _ in added}) == 30
         assert computed == [triple for group in per_record for triple in dict.fromkeys(group)]
         assert len(computed) < len(added) / 2
 
@@ -617,18 +610,6 @@ def test_clamp_warning_emitted_as_json_diagnostic():
     assert "clamped" in diagnostic["error"]
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["fuse", "--bogus-flag"])
-    assert exc.value.code == 2
-
-
-def test_missing_command_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run([])
-    assert exc.value.code == 2
-
-
 def test_score_floor_env_override(monkeypatch):
     # both middle scores clamp to -30 under the default floor (a tie that
     # candidate 0 wins); a floor of -50 keeps them apart and flips the choice
@@ -688,10 +669,19 @@ def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
     + [
         (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
         for value in ["0..3", "x", "3..1", "1..", "..3", "1..2..3", "0..0"]
+    ]
+    + [
+        # argparse's own errors
+        (["fuse", "--max-candidates", "x"], "--max-candidates"),
+        (["compare"], "--refs"),
+        (["fuse", "--bogus-flag"], "--bogus-flag"),
+        (["compare", "--refs", "unused.txt", "--sweep-k", "-1..2"], "--sweep-k"),
+        ([], "command"),
     ],
 )
 def test_bad_flag_value_is_usage_error(argv, named):
-    # used to fail every record, drop candidates silently, or exit 1
+    # used to fail every record, drop candidates silently, exit 1, or print
+    # argparse's plain-text usage and raise SystemExit
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2

@@ -3,23 +3,18 @@ import random
 
 import pytest
 
-from candidate_soups import (
-    CandidateSet,
-    DivergenceRegion,
-    ScoredCandidate,
-    ScorerFailure,
-    Scorer,
-    candidate_soups,
-    region_score,
-    remove_adjacent_duplicates,
-    select_segment,
-)
+from candidate_soups import CandidateSet, ScoredCandidate, Scorer, candidate_soups
+from candidate_soups.alignment import DivergenceRegion
+from candidate_soups.candidates import remove_adjacent_duplicates
+from candidate_soups.errors import ScorerFailure
+from candidate_soups.fusion import select_segment
 from helpers import (
     CROSS_ERROR_FUSED,
     THREE_WAY_ANCHORS,
     THREE_WAY_FUSED,
     cross_error_set,
     random_candidate_set,
+    region_score,
     three_way_set,
 )
 
@@ -115,8 +110,8 @@ class TestCandidateSoups:
 
     def test_misaligned_scorer_raises(self):
         class Broken(Scorer):
-            def score(self, source, tokens):
-                return [-0.1] * (len(tokens) + 1)
+            def rescore(self, source, candidate):
+                return [-0.1] * (len(candidate.tokens) + 1)
 
         with pytest.raises(ScorerFailure):
             candidate_soups(cross_error_set(), Broken())
@@ -187,7 +182,8 @@ def test_dominant_candidate_wins_every_region():
 
 def test_fusion_can_leave_the_candidate_set():
     """Unlike whole-candidate selection, fused output is often a new sequence."""
-    from candidate_soups import NoiseConfig, generate_corpus, npd_select
+    from candidate_soups import npd_select
+    from candidate_soups.synth import NoiseConfig, generate_corpus
     from helpers import random_references, word_vocab
 
     rng = random.Random(40)
@@ -212,7 +208,7 @@ def test_window_means_are_plain_arithmetic_means():
         deduped = CandidateSet(
             cset.id, tuple(remove_adjacent_duplicates(c) for c in cset.candidates)
         )
-        from candidate_soups import partition
+        from candidate_soups.alignment import partition
 
         scores = [c.scores for c in deduped.candidates]
         for reg in partition(deduped).regions():

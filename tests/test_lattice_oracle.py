@@ -5,26 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import (
+from candidate_soups import CandidateSet, ScoredCandidate, SelfScorer, candidate_soups, validate
+from candidate_soups.alignment import partition
+from candidate_soups.lattice_oracle import (
     AnchorNode,
-    CandidateSet,
-    NoiseConfig,
-    PathExplosion,
     RegionGroup,
-    ScoredCandidate,
-    SelfScorer,
     build_lattice,
-    candidate_soups,
-    enumerate_paths,
-    generate_corpus,
     oracle_best,
-    partition,
     path_count,
-    rescore_set,
-    validate,
 )
-from candidate_soups.lattice_oracle import DEFAULT_PATH_CAP
+from candidate_soups.scoring import rescore_set
+from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
+    DEFAULT_PATH_CAP,
+    PathExplosion,
+    enumerate_paths,
     random_candidate_set,
     random_references,
     reference_oracle_best,

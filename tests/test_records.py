@@ -7,21 +7,17 @@ repr, and refuses attribute assignment.
 
 import pytest
 
-from candidate_soups import (
-    AlignedPartition,
-    Anchor,
+from candidate_soups import CandidateSet, FusionResult, ScoredCandidate
+from candidate_soups.alignment import AlignedPartition, Anchor, DivergenceRegion
+from candidate_soups.bleu import BleuReport
+from candidate_soups.fusion import RegionChoice
+from candidate_soups.lattice_oracle import (
     AnchorNode,
-    BleuReport,
-    CandidateSet,
-    DivergenceRegion,
-    FusionResult,
     LatticeBranch,
-    NGramModel,
-    RegionChoice,
     RegionGroup,
-    ScoredCandidate,
     SimplifiedLattice,
 )
+from candidate_soups.scoring import NGramModel
 
 SC = ScoredCandidate(("a", "b"), (0.0, -1.0))
 SC_REPR = "ScoredCandidate(tokens=('a', 'b'), scores=(0.0, -1.0))"

@@ -6,9 +6,10 @@ candidate lengths differ (down to a single token), so anchors, exhausted
 candidates and multi-token ties all occur.  The n-gram scorer and BLEU
 counting are checked the same way: small vocabularies, so that contexts
 repeat and clipping is common, plus tokens and contexts never seen.  The
-partition and BLEU memos are checked with call sequences that repeat
-inputs among near misses (equal tokens under other ids and scores, one
-hypothesis against other references and other orders), and under threads.
+partition memo is checked with call sequences that repeat inputs among near
+misses (equal tokens under other ids and scores), and under threads; BLEU
+counting with one hypothesis against other references and other orders,
+and through one ``Reference`` per record as ``cds compare`` uses it.
 """
 
 from __future__ import annotations
@@ -26,23 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candidate_soups import (
-    DEFAULT_SCORE_FLOOR,
     BleuAccumulator,
     CandidateSet,
-    EmptyCandidate,
-    InvalidToken,
-    LengthMismatch,
-    PositiveScore,
     ScoredCandidate,
     candidate_soups,
-    find_next_anchor,
-    ngram_score,
-    partition,
-    remove_adjacent_duplicates,
     train_ngram,
     validate,
 )
-from candidate_soups.scoring import END_SYMBOL, START_SYMBOL
+from candidate_soups.alignment import find_next_anchor, partition
+from candidate_soups.bleu import Reference
+from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
+from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
+from candidate_soups.scoring import END_SYMBOL, START_SYMBOL, ngram_score
 from helpers import (
     random_candidate_set,
     reference_bleu_add,
@@ -284,9 +280,9 @@ def test_bleu_accumulator_matches_reference(max_n, pairs):
             assert acc.report(smoothing_epsilon=0.1) == ref_acc.report(smoothing_epsilon=0.1)
 
 
-# --- the partition and BLEU memos ----------------------------------------------
-# The memos are module state, so they carry over from one call (and one
-# example) to the next; each test runs a mixed sequence in which the same
+# --- the partition memo, and BLEU under repeats ----------------------------------
+# The partition memo is module state, so it carries over from one call (and
+# one example) to the next; each test runs a mixed sequence in which the same
 # input recurs, next to inputs that share every other key part.
 
 
@@ -342,23 +338,48 @@ def test_bleu_memo_matches_reference(hyps, refs, orders, adds):
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.lists(BLEU_TOKENS, min_size=1, max_size=7),  # the record's reference
+            st.lists(BLEU_WORDS, min_size=1, max_size=4),  # its hypotheses
+            # (hypothesis, accumulator) per add: repeats, interleaved accumulators
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=17),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+)
+def test_one_reference_per_record_matches_reference(records, orders):
+    # as in ``cds compare``: every accumulator adds against the record's one
+    # Reference, built at the highest order any accumulator needs
+    accs = [(BleuAccumulator(n), BleuAccumulator(n)) for n in orders]
+    for ref_tokens, hyps, adds in records:
+        reference = Reference(ref_tokens, max(orders))
+        for h, a in adds:
+            hypothesis = hyps[h % len(hyps)]
+            got, want = accs[a % len(accs)]
+            got.add(hypothesis, reference)
+            reference_bleu_add(want, hypothesis, ref_tokens)
+            assert (got.matched, got.total) == (want.matched, want.total)
+    for got, want in accs:
+        assert (got.hyp_length, got.ref_length, got.pairs) == (
+            want.hyp_length, want.ref_length, want.pairs
+        )
+        if want.hyp_length:
+            assert got.report() == want.report()
+            assert got.report(smoothing_epsilon=0.1) == want.report(smoothing_epsilon=0.1)
+
+
 def test_memos_under_threads():
     """16 threads (more than the cores of a test machine) switching every
-    microsecond share both memos; every result must equal the reference's."""
+    microsecond share the partition memo; every result must equal the
+    reference's."""
     rng = random.Random(5)
     sets = [random_candidate_set(rng, max_k=5, vocab=tuple("abcd"), ident="t") for _ in range(6)]
     want_parts = [reference_partition(s).elements for s in sets]
-    pairs = [
-        (tuple(rng.choice("xyz") for _ in range(rng.randint(0, 8))),
-         tuple(rng.choice("xyz") for _ in range(rng.randint(1, 8))),
-         rng.randint(1, 4))
-        for _ in range(40)  # more distinct triples than the BLEU memo holds
-    ]
-    want_counts = []
-    for hyp, ref, max_n in pairs:
-        acc = BleuAccumulator(max_n)
-        reference_bleu_add(acc, hyp, ref)
-        want_counts.append((acc.matched, acc.total))
 
     errors: list[str] = []
     rounds = [0] * 16  # per thread, so no update is lost
@@ -371,12 +392,6 @@ def test_memos_under_threads():
             i = local.randrange(len(sets))
             if partition(sets[i]).elements != want_parts[i]:
                 errors.append(f"partition of set {i}")
-            j = local.randrange(len(pairs))
-            hyp, ref, max_n = pairs[j]
-            acc = BleuAccumulator(max_n)
-            acc.add(hyp, ref)
-            if (acc.matched, acc.total) != want_counts[j]:
-                errors.append(f"BLEU counts of pair {j}")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

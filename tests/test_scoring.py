@@ -5,22 +5,31 @@ import pytest
 
 from candidate_soups import (
     CandidateSet,
-    EmptyCorpus,
-    ScoredCandidate,
     NGramScorer,
+    ScoredCandidate,
     SelfScorer,
     load_ngram,
-    ngram_score,
     npd_select,
-    remove_adjacent_duplicates,
-    rescore_set,
-    save_ngram,
     train_ngram,
 )
-from candidate_soups.scoring import END_SYMBOL, NGRAM_MEMO_SIZE, START_SYMBOL
+from candidate_soups.candidates import remove_adjacent_duplicates
+from candidate_soups.errors import EmptyCorpus
+from candidate_soups.scoring import (
+    END_SYMBOL,
+    NGRAM_MEMO_SIZE,
+    START_SYMBOL,
+    ngram_score,
+    rescore_set,
+    save_ngram,
+)
 from helpers import cross_error_set, random_candidate_set
 
 ALPHA = 0.1
+
+
+def rescore_tokens(scorer, source, tokens):
+    """``scorer.rescore`` of a candidate with these tokens and arbitrary stored scores."""
+    return scorer.rescore(source, ScoredCandidate(tokens, (-1.0,) * len(tokens)))
 
 
 class TestSelfScorer:
@@ -196,7 +205,7 @@ def test_scorer_determinism():
     model = train_ngram([["a", "b", "c"], ["a", "c"]], n=2)
     scorer = NGramScorer(model)
     tokens = ["a", "q", "c"]
-    assert scorer.score(None, tokens) == scorer.score(None, tokens)
+    assert rescore_tokens(scorer, None, tokens) == rescore_tokens(scorer, None, tokens)
     self_s = SelfScorer()
     cand = ScoredCandidate(("a", "b"), (-0.1, -0.2))
     assert self_s.rescore(None, cand) == self_s.rescore(None, cand)
@@ -205,34 +214,36 @@ def test_scorer_determinism():
 class TestNGramScorerMemo:
     def test_repeat_is_scored_once_whatever_the_source(self, ngram_score_calls):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
-        first = scorer.score(None, ["a", "b"])
-        assert scorer.score(("src", "tokens"), ("a", "b")) is first
+        first = rescore_tokens(scorer, None, ["a", "b"])
+        assert rescore_tokens(scorer, ("src", "tokens"), ("a", "b")) is first
         assert ngram_score_calls == [("a", "b")]
         assert list(first) == ngram_score(scorer.model, ["a", "b"])
 
     def test_returned_scores_are_immutable(self):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
-        scores = scorer.score(None, ["a", "c"])
+        scores = rescore_tokens(scorer, None, ["a", "c"])
         assert isinstance(scores, tuple)
         with pytest.raises(TypeError):
             scores[0] = 0.0  # type: ignore[index]
-        assert scorer.score(None, ["a", "c"]) == tuple(ngram_score(scorer.model, ["a", "c"]))
+        want = tuple(ngram_score(scorer.model, ["a", "c"]))
+        assert rescore_tokens(scorer, None, ["a", "c"]) == want
 
     def test_memo_stays_at_its_bound(self, ngram_score_calls):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
         sequences = [("a",) * (i + 1) for i in range(3 * NGRAM_MEMO_SIZE)]
         for tokens in sequences:
-            scorer.score(None, tokens)
+            rescore_tokens(scorer, None, tokens)
         assert scorer._memo.cache_info().currsize == NGRAM_MEMO_SIZE
         assert len(ngram_score_calls) == len(sequences)
-        scorer.score(None, sequences[-1])  # still held
+        rescore_tokens(scorer, None, sequences[-1])  # still held
         assert len(ngram_score_calls) == len(sequences)
-        scorer.score(None, sequences[0])  # evicted long ago
+        rescore_tokens(scorer, None, sequences[0])  # evicted long ago
         assert len(ngram_score_calls) == len(sequences) + 1
         assert scorer._memo.cache_info().currsize == NGRAM_MEMO_SIZE
 
     def test_scorers_do_not_share_a_memo(self):
         one = NGramScorer(train_ngram([["a", "b"]], n=2))
         other = NGramScorer(train_ngram([["b", "a"]], n=2))
-        assert one.score(None, ["a", "b"]) != other.score(None, ["a", "b"])
-        assert other.score(None, ["a", "b"]) == tuple(ngram_score(other.model, ["a", "b"]))
+        assert rescore_tokens(one, None, ["a", "b"]) != rescore_tokens(other, None, ["a", "b"])
+        want = tuple(ngram_score(other.model, ["a", "b"]))
+        assert rescore_tokens(other, None, ["a", "b"]) == want

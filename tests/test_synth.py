@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from candidate_soups import (
-    EmptyReference,
-    NoiseConfig,
-    generate_candidates,
-    generate_corpus,
-)
+from candidate_soups.errors import EmptyReference
+from candidate_soups.synth import NoiseConfig, generate_candidates, generate_corpus
 from helpers import random_references, word_vocab
 
 QUIET = NoiseConfig(
