@@ -13,6 +13,7 @@ computation.
 
 from __future__ import annotations
 
+from itertools import repeat, zip_longest
 from operator import getitem
 from typing import Iterator, Union
 
@@ -21,6 +22,7 @@ from .candidates import CandidateSet, record
 PointerVector = tuple[int, ...]
 
 _END = object()  # stands past the last token of a candidate
+_new = tuple.__new__  # builds a record from fields that are already tuples
 
 # (token sequences, partition) of the last set partitioned; replaced whole
 _last_partition: tuple[tuple[tuple[str, ...], ...], AlignedPartition] | None = None
@@ -76,47 +78,39 @@ def find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
     Returns None when every frontier is exhausted without a common token.
     """
     seqs = [c.tokens for c in cset.candidates]
-    k = len(seqs)
-    lens = [len(s) for s in seqs]
+    windows = [s[p:] for s, p in zip(seqs, start)]
     # a window that starts at its candidate's end never grows, so no token
     # can ever be seen in every window
-    for p, n in zip(start, lens):
-        if p >= n:
-            return None
-    # first_seen[j] maps token -> earliest absolute index in candidate j's window
-    first_seen: list[dict[str, int]] = [{} for _ in range(k)]
-    window_count: dict[str, int] = {}
-    frontier = list(start)
-
-    grew = True
-    while grew:
-        grew = False
-        qualified: list[str] = []
-        for j in range(k):
-            if frontier[j] >= lens[j]:
-                continue
-            tok = seqs[j][frontier[j]]
-            seen = first_seen[j]
-            if tok not in seen:
-                seen[tok] = frontier[j]
-                count = window_count.get(tok, 0) + 1
-                window_count[tok] = count
-                if count == k:
-                    qualified.append(tok)
-            frontier[j] += 1
-            grew = True
+    if not all(windows):
+        return None
+    full = (1 << len(seqs)) - 1
+    # masks[tok] has bit j set once tok is in candidate j's window.  An
+    # exhausted frontier yields _END, whose mask never fills: the rounds stop
+    # when the last frontier is exhausted.
+    masks: dict = {}
+    get = masks.get
+    for row in zip_longest(*windows, fillvalue=_END):
+        qualified = []
+        bit = 1
+        for tok in row:
+            mask = get(tok, 0) | bit
+            masks[tok] = mask
+            bit <<= 1
+            if mask == full and tok not in qualified:
+                qualified.append(tok)
         if qualified:
-            best = qualified[0]
-            if len(qualified) > 1:
-                best = min(
-                    qualified,
-                    key=lambda t: (
-                        sum(first_seen[j][t] - start[j] for j in range(k)),
-                        first_seen[0][t],
-                    ),
-                )
-            return Anchor(best, tuple([fs[best] for fs in first_seen]))
+            # a token's earliest position in each window, found only for the winners
+            anchors = [(tok, tuple(map(tuple.index, seqs, repeat(tok), start)))
+                       for tok in qualified]
+            best = anchors[0] if len(anchors) == 1 else min(anchors, key=_advance_then_first)
+            return _new(Anchor, best)
     return None
+
+
+def _advance_then_first(anchor: tuple[str, PointerVector]) -> tuple[int, int]:
+    # the start vector is fixed, so summed positions rank as summed advances
+    positions = anchor[1]
+    return sum(positions), positions[0]
 
 
 def partition(cset: CandidateSet) -> AlignedPartition:
@@ -150,6 +144,7 @@ def partition(cset: CandidateSet) -> AlignedPartition:
     padded = [s + (_END,) for s in seqs]
     pointers = (0,) * k
     elements: list[PartitionElement] = []
+    append = elements.append
 
     while k:  # a set without candidates has no elements
         heads = list(map(getitem, padded, pointers))
@@ -157,15 +152,15 @@ def partition(cset: CandidateSet) -> AlignedPartition:
         if heads.count(head) == k:
             if head is _END:  # every pointer is at its candidate's end
                 break
-            elements.append(Anchor(head, pointers))
+            append(_new(Anchor, (head, pointers)))
             pointers = tuple([p + 1 for p in pointers])
             continue
         nxt = find_next_anchor(cset, pointers)
         end = nxt.positions if nxt is not None else lens
         segments = tuple([s[a:b] for s, a, b in zip(seqs, pointers, end)])
-        elements.append(DivergenceRegion(pointers, end, segments))
+        append(_new(DivergenceRegion, (pointers, end, segments)))
         pointers = end
 
-    part = AlignedPartition(tuple(elements))
+    part = _new(AlignedPartition, (tuple(elements),))
     _last_partition = (seqs, part)
     return part

@@ -14,6 +14,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import compress
+from math import isnan
 from operator import ne
 
 from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
@@ -23,6 +24,8 @@ from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 DEFAULT_SCORE_FLOOR = -30.0
 
 _CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
+
+_new = tuple.__new__  # builds a record from fields that are already tuples
 
 
 def _record_eq(self, other) -> bool:
@@ -95,28 +98,33 @@ def remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
     if all(keep):
         return cand
     keep.append(True)
-    return ScoredCandidate(tuple(compress(tokens, keep)), tuple(compress(cand.scores, keep)))
+    kept = (tuple(compress(tokens, keep)), tuple(compress(cand.scores, keep)))
+    return _new(ScoredCandidate, kept)
 
 
 _WHITESPACE = re.compile(r"\s")
 
 
-def _check_token(tok: str, where: str) -> None:
-    if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
-        raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
+def _tokens_valid(tokens: tuple[str, ...]) -> bool:
+    """True when every token is a non-empty string without whitespace.
+
+    Joined with no separator, the tokens hold whitespace only where a token
+    does; ``str.split`` and the ``_WHITESPACE`` pattern agree on what
+    whitespace is, and a string without any splits into itself alone.
+    """
+    try:
+        joined = "".join(tokens)
+    except TypeError:  # a token that is not a string
+        return False
+    return "" not in tokens and joined.split(None, 1) == [joined]
 
 
 def _check_tokens(tokens: tuple[str, ...], where: str) -> None:
-    # Fast path: str.split() and re's \s agree on what whitespace is, and
-    # splitting yields only non-empty, whitespace-free pieces, so the round
-    # trip is lossless exactly when every token is valid.
-    try:
-        if " ".join(tokens).split() == list(tokens):
-            return
-    except TypeError:  # a token that is not a string
-        pass
     for tok in tokens:
-        _check_token(tok, where)
+        if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
+            raise InvalidToken(
+                f"{where}: token {tok!r} must be a non-empty string without whitespace"
+            )
 
 
 def validate(
@@ -142,28 +150,36 @@ def validate(
     """
     if not cset.candidates:
         raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
-    if cset.source is not None:
+    if cset.source is not None and not _tokens_valid(cset.source):
         _check_tokens(cset.source, f"set {cset.id!r} source")
 
     clamped = 0
     out: list[ScoredCandidate] = []
     for idx, cand in enumerate(cset.candidates):
-        where = f"set {cset.id!r} candidate {idx}"
-        if not cand.tokens:
-            raise EmptyCandidate(f"{where} has no tokens")
-        if len(cand.tokens) != len(cand.scores):
-            raise LengthMismatch(
-                f"{where}: {len(cand.tokens)} tokens vs {len(cand.scores)} scores"
-            )
-        _check_tokens(cand.tokens, where)
-        scores = cand.scores
-        if max(scores) <= 0 and min(scores) >= score_floor and not any(map(math.isnan, scores)):
+        tokens, scores = cand.tokens, cand.scores
+        # a valid candidate whose scores lie in [score_floor, 0]: with no NaN
+        # present max and min are exact, and the sum of such scores is never NaN
+        if (
+            tokens
+            and len(tokens) == len(scores)
+            and _tokens_valid(tokens)
+            and max(scores) <= 0
+            and min(scores) >= score_floor
+            and not isnan(sum(scores))
+        ):
             out.append(cand)
             continue
+        where = f"set {cset.id!r} candidate {idx}"
+        if not tokens:
+            raise EmptyCandidate(f"{where} has no tokens")
+        if len(tokens) != len(scores):
+            raise LengthMismatch(f"{where}: {len(tokens)} tokens vs {len(scores)} scores")
+        if not _tokens_valid(tokens):
+            _check_tokens(tokens, where)
         fixed: list[float] = []
         touched = False
-        for score in cand.scores:
-            if math.isnan(score) or score > 0:
+        for score in scores:
+            if isnan(score) or score > 0:
                 raise PositiveScore(f"{where}: score {score!r} must be <= 0")
             if score < score_floor:
                 fixed.append(score_floor)
@@ -171,7 +187,8 @@ def validate(
                 clamped += 1
             else:
                 fixed.append(score)
-        out.append(ScoredCandidate(cand.tokens, tuple(fixed)) if touched else cand)
+        # the constructor makes an int floor a float
+        out.append(ScoredCandidate(tokens, fixed) if touched else cand)
 
     if clamped:
         if warn is not None:
@@ -180,6 +197,5 @@ def validate(
             import logging
 
             logging.getLogger(__name__).warning(_CLAMP_WARNING, clamped, score_floor, cset.id)
-        return CandidateSet(cset.id, tuple(out), cset.source)
+        return _new(CandidateSet, (cset.id, tuple(out), cset.source))
     return cset
-

@@ -7,13 +7,24 @@ of the wrong shape or types, an invalid candidate set) are reported to
 stderr as JSON lines ``{"line": N, "error": "..."}`` and the next line is
 processed; the process exits 0 on success, 1 when any line failed, 2 on
 usage errors.  A usage error is reported as one line-0 diagnostic before
-any input is read: an argument argparse rejects (unknown, missing or not
-of its type), an unknown ``--scorer``, ``--max-candidates`` below 1, a
-``--sweep-k`` that is not ``A..B`` with 1 <= A <= B, or a
-``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is not
-a finite number <= 0.  Clamped scores are reported as line-0
-``"warning: ..."`` diagnostics.  Output is strict JSON (no NaN or
-Infinity) in valid UTF-8.  Each command imports only the modules it runs.
+any input is read:
+
+- an argument argparse rejects (unknown, missing or not of its type);
+- an unknown ``--scorer``;
+- ``--max-candidates`` below 1;
+- a ``--sweep-k`` that is not ``A..B`` with 1 <= A <= B;
+- a ``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is
+  not a finite number <= 0;
+- ``bleu --max-n`` below 1, or a ``bleu --smooth`` that is not a finite
+  number > 0;
+- ``ngram-train --order`` below 1, or an ``ngram-train --alpha`` that is
+  not a finite number > 0;
+- ``synth --k`` below 1, or a ``synth`` noise setting, from a flag or a
+  ``--config`` line, that does not parse or that ``NoiseConfig`` rejects.
+
+Clamped scores are reported as line-0 ``"warning: ..."`` diagnostics.
+Output is strict JSON (no NaN or Infinity) in valid UTF-8.  Each command
+imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -146,7 +157,10 @@ def parse_candidate_record(
     for idx, cand in enumerate(raw_candidates):
         if not isinstance(cand, dict):
             raise ValueError(f"set {ident!r} candidate {idx} must be a JSON object")
-        tokens, scores = cand["tokens"], cand["scores"]
+        try:
+            tokens, scores = cand["tokens"], cand["scores"]
+        except KeyError as exc:
+            raise ValueError(f"set {ident!r} candidate {idx} is missing key {exc}") from None
         if not isinstance(tokens, list):
             raise ValueError(f"set {ident!r} candidate {idx}: 'tokens' must be a list")
         if not isinstance(scores, list) or not set(map(type, scores)) <= _NUMBER_TYPES:
@@ -300,31 +314,41 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
 
 
 def _load_noise_config(args: argparse.Namespace) -> NoiseConfig:
+    """``synth``'s noise settings: the ``--config`` file, then the flags.
+
+    A line that does not parse, an unknown key, or a value ``NoiseConfig``
+    rejects is a usage error.
+    """
     from .synth import NoiseConfig
 
     values: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fp:
-            for raw in fp:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in NoiseConfig.field_names():
-                    raise ValueError(f"unknown config key {key!r}")
-                values[key] = int(value) if key == "rng_seed" else float(value)
-    for name in NoiseConfig.field_names():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return NoiseConfig(**values)
+    try:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fp:
+                for raw in fp:
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    key, _, value = line.partition("=")
+                    key = key.strip()
+                    if key not in NoiseConfig.field_names():
+                        raise ValueError(f"unknown config key {key!r}")
+                    values[key] = int(value) if key == "rng_seed" else float(value)
+        for name in NoiseConfig.field_names():
+            flag = getattr(args, name, None)
+            if flag is not None:
+                values[name] = flag
+        return NoiseConfig(**values)
+    except ValueError as exc:
+        raise UsageError(f"synth: {exc}") from None
 
 
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .synth import generate_candidates
 
     floor = _score_floor()
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     config = _load_noise_config(args)
     # read once (the file may be a pipe): the corruption vocabulary needs
     # every line before the first record is generated
@@ -402,9 +426,17 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .bleu import bleu_with_smoothing, corpus_bleu
 
+    if args.max_n < 1:
+        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.smooth is not None and not 0 < args.smooth < math.inf:
+        raise UsageError(f"--smooth must be a finite number > 0, got {args.smooth!r}")
     try:
         hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
         refs = _read_token_lines(args.ref)
+        if len(hyps) == len(refs):  # a count mismatch is reported first, as corpus_bleu does
+            for line_no, ref in enumerate(refs, start=1):
+                if not ref:
+                    raise _BadInputLine(args.ref, line_no, "reference sentence is empty")
     except _BadInputLine as exc:
         _diagnostic(stderr, exc.line_no, str(exc))
         return 1
@@ -461,9 +493,12 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
                 return _compare_fail(
                     stderr, line_no, f"reference line {sentences + 1} is not valid UTF-8"
                 )
+            ref_tokens = ref_line.split()
+            if not ref_tokens:
+                return _compare_fail(stderr, line_no, f"reference line {sentences + 1} is empty")
             # every method and sweep step below is scored against this one record's
             # n-gram counts, and each distinct output is clipped once
-            reference = Reference(ref_line.split())
+            reference = Reference(ref_tokens)
             sentences += 1
 
             single = remove_adjacent_duplicates(cset.candidates[0])
@@ -516,6 +551,10 @@ def _compare_fail(stderr: IO[str], line_no: int, message: str) -> int:
 def cmd_ngram_train(
     args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]
 ) -> int:
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    if not 0 < args.alpha < math.inf:
+        raise UsageError(f"--alpha must be a finite number > 0, got {args.alpha!r}")
     try:
         with _open_input(args.corpus, stdin) as stream:
             lines = _checked_lines(args.corpus, stream)

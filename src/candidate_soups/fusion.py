@@ -10,8 +10,8 @@ independently of one another.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
+from math import fsum
 
 from .alignment import Anchor, DivergenceRegion, partition
 from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, record, validate
@@ -30,10 +30,7 @@ class FusionResult(record("FusionResult", "tokens trace anchors_used")):
     __slots__ = ()
 
 
-def _window(cand_scores: Sequence[float], start: int, end: int) -> Sequence[float]:
-    # the segment plus one bounding anchor token on each side, clamped at the
-    # sequence edges (slicing clamps the upper bound); never empty
-    return cand_scores[start - 1 if start else 0 : end + 1]
+_new = tuple.__new__  # builds a record from fields that are already tuples
 
 
 def select_segment(
@@ -41,11 +38,19 @@ def select_segment(
     scores: Sequence[Sequence[float]],
     region_index: int = 0,
 ) -> RegionChoice:
-    """Pick the candidate whose window mean is highest; ties go to the lowest index."""
-    windows = map(_window, scores, region.start, region.end)
-    segment_scores = tuple([math.fsum(w) / len(w) for w in windows])
+    """Pick the candidate whose window mean is highest; ties go to the lowest index.
+
+    A window is the segment plus one bounding anchor token on each side,
+    clamped at the sequence edges (slicing clamps the upper bound); it is
+    never empty.
+    """
+    means = []
+    for s, a, b in zip(scores, region.start, region.end):
+        window = s[a - 1 if a else 0 : b + 1]
+        means.append(fsum(window) / len(window))
+    segment_scores = tuple(means)
     chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
-    return RegionChoice(region_index, chosen, segment_scores, region.segments[chosen])
+    return _new(RegionChoice, (region_index, chosen, segment_scores, region.segments[chosen]))
 
 
 def candidate_soups(
@@ -78,4 +83,4 @@ def candidate_soups(
             choice = select_segment(element, scores, region_index=len(trace))
             trace.append(choice)
             tokens.extend(choice.chosen_tokens)
-    return FusionResult(tuple(tokens), tuple(trace), anchors)
+    return _new(FusionResult, (tuple(tokens), tuple(trace), anchors))

@@ -41,6 +41,8 @@ END_SYMBOL = "</s>"
 # input never measure memo hits.
 NGRAM_MEMO_SIZE = 64
 
+_new = tuple.__new__  # builds a record from fields that are already tuples
+
 
 class Scorer:
     """Assigns per-token log-probabilities (each <= 0) to a candidate's tokens.
@@ -228,19 +230,23 @@ def rescore_set(
     traversed tokens.  Raises ScorerFailure when a scorer returns a score
     sequence whose length differs from the token count.
     """
+    source, rescore = cset.source, scorer.rescore
     out: list[ScoredCandidate] = []
-    for idx, cand in enumerate(cset.candidates):
+    for cand in cset.candidates:
         if dedup:
             cand = remove_adjacent_duplicates(cand)
-        scores = scorer.rescore(cset.source, cand)
-        if len(scores) != len(cand.tokens):
+        scores = rescore(source, cand)
+        tokens = cand.tokens
+        if len(scores) != len(tokens):
             raise ScorerFailure(
-                f"set {cset.id!r} candidate {idx}: scorer returned {len(scores)} "
-                f"scores for {len(cand.tokens)} tokens"
+                f"set {cset.id!r} candidate {len(out)}: scorer returned {len(scores)} "
+                f"scores for {len(tokens)} tokens"
             )
         # a scorer that hands back the stored scores leaves the candidate as is
-        out.append(cand if scores is cand.scores else ScoredCandidate(cand.tokens, tuple(scores)))
-    return CandidateSet(cset.id, tuple(out), cset.source)
+        if scores is not cand.scores:
+            cand = _new(ScoredCandidate, (tokens, tuple(map(float, scores))))
+        out.append(cand)
+    return _new(CandidateSet, (cset.id, tuple(out), source))
 
 
 def npd_select(

@@ -336,6 +336,18 @@ class TestBleu:
         assert code == 1
         assert "error" in json.loads(err)
 
+    def test_empty_reference_line_named(self, tmp_path):
+        # used to report "reference sentence is empty" at line 0
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("a b\nc d\ne f\n")
+        ref.write_text("a b\n\ne f\n")
+        code, out, err = run(["bleu", str(hyp), str(ref)])
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 2, "error": f"{ref}: reference sentence is empty"}
+        ]
+
 
 class TestCompare:
     def make_corpus(self, tmp_path, noise_flags=()):
@@ -405,6 +417,18 @@ class TestCompare:
         assert code == 1 and out == ""
         assert [json.loads(line) for line in err.splitlines()] == [
             {"line": 3, "error": "reference line 3 is not valid UTF-8"}
+        ]
+
+    def test_empty_reference_line_named(self, tmp_path):
+        # used to fail with "reference sentence is empty" at line 0
+        refs, records = self.make_corpus(tmp_path)
+        lines = refs.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(lines[0] + "\n" + "".join(lines[2:]))
+        code, out, err = run(["compare", "--refs", str(bad)], records)
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 2, "error": "reference line 2 is empty"}
         ]
 
 
@@ -691,6 +715,38 @@ def test_bad_flag_value_is_usage_error(argv, named):
     assert diagnostic["line"] == 0 and named in diagnostic["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], None, "--smooth"),
+        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], None, "--order"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
+        (["synth", "r.txt", "--k", "0"], None, "--k"),
+        (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
+        (["synth", "r.txt"], "deletion_rate = 3\n", "deletion_rate"),
+        (["synth", "r.txt"], "insertion_rate = x\n", "could not convert"),
+        (["synth", "r.txt"], "bogus = 1\n", "unknown config key"),
+    ],
+)
+def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, config, named):
+    # each used to exit 1 with a line-0 diagnostic, some after reading input;
+    # the input files named here do not exist, so reading one would fail
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "noise.cfg").write_text(config)
+        argv = [*argv, "--config", "noise.cfg"]
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
+    assert code == 2
+    assert out.getvalue() == "" and not (tmp_path / "m.ngram").exists()
+    (line,) = err.getvalue().splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["line"] == 0 and named in diagnostic["error"]
+
+
 def test_nan_score_floor_no_longer_leaks_infinity_into_trace(monkeypatch):
     # a NaN floor clamped nothing, so a -inf score reached the trace as -Infinity
     line = json.dumps(
@@ -806,6 +862,16 @@ class TestTypedWireParsing:
         code, out, err = run(["fuse"], record_line(["a", "b"], [0, -1], source=None))
         assert code == 0 and err == ""
         assert json.loads(out)["output"] == ["a", "b"]
+
+    @pytest.mark.parametrize("missing", ["tokens", "scores"])
+    def test_missing_candidate_key_is_named(self, missing):
+        # used to give the bare KeyError text, "'scores'"
+        candidate = {"tokens": ["x"], "scores": [-0.1]}
+        del candidate[missing]
+        line = json.dumps({"id": "a", "candidates": [candidate]})
+        code, out, err = run(["fuse"], line)
+        assert code == 1 and out == ""
+        assert single_error(err) == f"set 'a' candidate 0 is missing key '{missing}'"
 
     def test_non_list_candidates_are_rejected(self):
         line = json.dumps({"id": "t", "candidates": {"tokens": ["a"], "scores": [-0.1]}})
