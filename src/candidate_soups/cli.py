@@ -10,21 +10,21 @@ usage errors.  A usage error is reported as one line-0 diagnostic before
 any input is read:
 
 - an argument argparse rejects (unknown, missing or not of its type);
-- an unknown ``--scorer``;
-- ``--max-candidates`` below 1;
+- ``--max-candidates``, ``synth --k``, ``bleu --max-n`` or
+  ``ngram-train --order`` below 1;
+- a ``bleu --smooth`` or ``ngram-train --alpha`` that is not a finite
+  number > 0;
 - a ``--sweep-k`` that is not ``A..B`` with 1 <= A <= B;
+- an unknown ``--scorer``, or an ``ngram:`` model that is missing,
+  unreadable or malformed;
 - a ``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is
   not a finite number <= 0;
-- ``bleu --max-n`` below 1, or a ``bleu --smooth`` that is not a finite
-  number > 0;
-- ``ngram-train --order`` below 1, or an ``ngram-train --alpha`` that is
-  not a finite number > 0;
-- ``synth --k`` below 1, or a ``synth`` noise setting, from a flag or a
-  ``--config`` line, that does not parse or that ``NoiseConfig`` rejects.
+- a ``synth`` noise flag that ``NoiseConfig`` rejects.
 
-Clamped scores are reported as line-0 ``"warning: ..."`` diagnostics.
-Output is strict JSON (no NaN or Infinity) in valid UTF-8.  Each command
-imports only the modules it runs.
+The flag ranges above are checked by argparse types, the noise flags by
+``NoiseConfig``.  A clamped score is reported as a ``"warning: ..."``
+diagnostic on its record's line.  Output is strict JSON (no NaN or
+Infinity) in valid UTF-8.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 import time
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 from .candidates import (
     DEFAULT_SCORE_FLOOR,
@@ -60,9 +60,6 @@ from .scoring import (
     save_ngram,
     train_ngram,
 )
-
-if TYPE_CHECKING:
-    from .synth import NoiseConfig
 
 # Only ``fuse --oracle-check`` calls these; see ``__getattr__``.
 _ORACLE_NAMES = ("build_lattice", "oracle_best")
@@ -110,20 +107,52 @@ def _score_floor() -> float:
     return floor
 
 
-def _make_scorer(selector: str, score_floor: float) -> Scorer:
+def _make_scorer(selector: str) -> tuple[float, Scorer]:
+    """The score floor and the scorer ``--scorer`` names; bad values are usage errors."""
+    floor = _score_floor()
     if selector == "self":
-        return SelfScorer()
+        return floor, SelfScorer()
     if selector.startswith("ngram:"):
-        return NGramScorer(load_ngram(selector[len("ngram:") :]), score_floor)
+        try:
+            model = load_ngram(selector[len("ngram:") :])
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load --scorer model: {exc}") from None
+        return floor, NGramScorer(model, floor)
     raise UsageError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
 
 
-def _record_settings(args: argparse.Namespace) -> tuple[float, Scorer]:
-    """The score floor and scorer of ``fuse`` or ``npd``; bad values are usage errors."""
-    if args.max_candidates is not None and args.max_candidates < 1:
-        raise UsageError(f"--max-candidates must be >= 1, got {args.max_candidates}")
-    floor = _score_floor()
-    return floor, _make_scorer(args.scorer, floor)
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _k_range(text: str) -> range:
+    """An argparse type: ``A..B`` with 1 <= A <= B, as the candidate counts A to B."""
+    lo, _, hi = text.partition("..")
+    try:
+        start, stop = int(lo), int(hi)
+    except ValueError:
+        start = stop = 0
+    if start < 1 or stop < start:
+        raise argparse.ArgumentTypeError(f"must be A..B with 1 <= A <= B, got {text!r}")
+    return range(start, stop + 1)
 
 
 _NUMBER_TYPES = {int, float}  # exact types: bool is an int subclass, not a score
@@ -248,7 +277,7 @@ def _iter_records(
     """Yield (line number, parsed set) pairs; parse failures yield None."""
 
     def warn(message: str) -> None:
-        _diagnostic(err, 0, f"warning: {message}")
+        _diagnostic(err, line_no, f"warning: {message}")  # the line being parsed
 
     for line_no, line in enumerate(stream, start=1):
         line = line.strip()
@@ -268,7 +297,7 @@ def _iter_records(
 
 
 def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor, scorer = _record_settings(args)
+    floor, scorer = _make_scorer(args.scorer)
     if args.oracle_check:
         _bind_oracle()  # build_lattice and oracle_best, called below
     failed = False
@@ -279,9 +308,9 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
                 continue
             cset = _truncated(cset, args.max_candidates)
             try:
-                result = candidate_soups(cset, scorer, floor, dedup=not args.no_dedup)
+                result = candidate_soups(cset, scorer, floor)
                 if args.oracle_check:
-                    prepared = rescore_set(cset, scorer, dedup=not args.no_dedup)
+                    prepared = rescore_set(cset, scorer)
                     best = oracle_best(build_lattice(prepared))
                     if best != result.tokens:
                         raise CdsError(
@@ -296,7 +325,7 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 
 
 def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor, scorer = _record_settings(args)
+    floor, scorer = _make_scorer(args.scorer)
     failed = False
     with _open_input(args.input, stdin) as stream:
         for line_no, cset in _iter_records(stream, stderr, floor):
@@ -313,43 +342,18 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
     return 1 if failed else 0
 
 
-def _load_noise_config(args: argparse.Namespace) -> NoiseConfig:
-    """``synth``'s noise settings: the ``--config`` file, then the flags.
+def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+    from dataclasses import fields
 
-    A line that does not parse, an unknown key, or a value ``NoiseConfig``
-    rejects is a usage error.
-    """
-    from .synth import NoiseConfig
+    from .synth import NoiseConfig, generate_candidates
 
-    values: dict = {}
+    floor = _score_floor()
+    flags = {field.name: getattr(args, field.name) for field in fields(NoiseConfig)}
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fp:
-                for raw in fp:
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    key, _, value = line.partition("=")
-                    key = key.strip()
-                    if key not in NoiseConfig.field_names():
-                        raise ValueError(f"unknown config key {key!r}")
-                    values[key] = int(value) if key == "rng_seed" else float(value)
-        for name in NoiseConfig.field_names():
-            flag = getattr(args, name, None)
-            if flag is not None:
-                values[name] = flag
-        return NoiseConfig(**values)
+        config = NoiseConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
         raise UsageError(f"synth: {exc}") from None
 
-
-def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    from .synth import generate_candidates
-
-    floor = _score_floor()
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    config = _load_noise_config(args)
     # read once (the file may be a pipe): the corruption vocabulary needs
     # every line before the first record is generated
     with _open_text(args.refs) as fp:
@@ -426,10 +430,6 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .bleu import bleu_with_smoothing, corpus_bleu
 
-    if args.max_n < 1:
-        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
-    if args.smooth is not None and not 0 < args.smooth < math.inf:
-        raise UsageError(f"--smooth must be a finite number > 0, got {args.smooth!r}")
     try:
         hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
         refs = _read_token_lines(args.ref)
@@ -448,29 +448,13 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
     return 0
 
 
-def _parse_sweep(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    try:
-        start, stop = int(lo), int(hi)
-    except ValueError:
-        start = stop = 0
-    if start < 1 or stop < start:
-        raise UsageError(f"--sweep-k must be A..B with 1 <= A <= B, got {text!r}")
-    return start, stop
-
-
 def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .bleu import BleuAccumulator, Reference
 
-    sweep = _parse_sweep(args.sweep_k) if args.sweep_k else None
-    floor = _score_floor()
-    scorer = _make_scorer(args.scorer, floor)
-
+    floor, scorer = _make_scorer(args.scorer)
     accumulators = {name: BleuAccumulator() for name in ("single", "npd", "cds")}
-    sweep_acc: dict[int, dict[str, BleuAccumulator]] = {}
-    if sweep:
-        for k in range(sweep[0], sweep[1] + 1):
-            sweep_acc[k] = {"cds": BleuAccumulator(), "npd": BleuAccumulator()}
+    sweep_acc = {k: {"cds": BleuAccumulator(), "npd": BleuAccumulator()}
+                 for k in args.sweep_k or ()}
 
     fusion_seconds = 0.0
     sentences = 0
@@ -526,7 +510,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
         "mean_fusion_ms": 1000.0 * fusion_seconds / sentences,
         "sweep": [
             {"k": k, "cds": accs["cds"].report().bleu, "npd": accs["npd"].report().bleu}
-            for k, accs in sorted(sweep_acc.items())
+            for k, accs in sweep_acc.items()
         ],
     }
     if args.json:
@@ -551,10 +535,6 @@ def _compare_fail(stderr: IO[str], line_no: int, message: str) -> int:
 def cmd_ngram_train(
     args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]
 ) -> int:
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
-    if not 0 < args.alpha < math.inf:
-        raise UsageError(f"--alpha must be a finite number > 0, got {args.alpha!r}")
     try:
         with _open_input(args.corpus, stdin) as stream:
             lines = _checked_lines(args.corpus, stream)
@@ -579,7 +559,7 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-candidates",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="truncate each record to its first N candidates",
@@ -602,9 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify each fusion against the lattice's best path (per-region argmax)",
     )
-    fuse.add_argument(
-        "--no-dedup", action="store_true", help="skip adjacent-duplicate removal (diagnostic)"
-    )
     fuse.set_defaults(handler=cmd_fuse)
 
     npd = sub.add_parser("npd", help="keep the best whole candidate per record")
@@ -614,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate candidate records from reference sentences")
     synth.add_argument("refs", help="one whitespace-tokenized sentence per line")
-    synth.add_argument("--k", type=int, default=5, help="candidates per sentence")
+    synth.add_argument("--k", type=_positive_int, default=5, help="candidates per sentence")
     synth.add_argument("--seed", dest="rng_seed", type=int, default=None)
     for rate in ("substitution-rate", "insertion-rate", "deletion-rate", "duplication-rate"):
         synth.add_argument(f"--{rate}", type=float, default=None)
@@ -625,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "error-score-std",
     ):
         synth.add_argument(f"--{stat}", type=float, default=None)
-    synth.add_argument("--config", default=None, help="key=value noise settings file")
     synth.set_defaults(handler=cmd_synth)
 
     bleu = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against references")
@@ -636,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read hypotheses from fusion records' 'output' fields",
     )
-    bleu.add_argument("--smooth", type=float, default=None, metavar="EPS")
-    bleu.add_argument("--max-n", type=int, default=4)
+    bleu.add_argument("--smooth", type=_positive_float, default=None, metavar="EPS")
+    bleu.add_argument("--max-n", type=_positive_int, default=4)
     bleu.set_defaults(handler=cmd_bleu)
 
     compare = sub.add_parser(
@@ -647,7 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--refs", required=True, help="reference sentences aligned with records")
     compare.add_argument("--scorer", default="self")
     compare.add_argument(
-        "--sweep-k", default=None, metavar="A..B", help="also report one row per candidate count"
+        "--sweep-k",
+        type=_k_range,
+        default=None,
+        metavar="A..B",
+        help="also report one row per candidate count",
     )
     compare.add_argument("--json", action="store_true", help="emit the summary as one JSON object")
     compare.set_defaults(handler=cmd_compare)
@@ -655,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("ngram-train", help="train and persist an n-gram scorer model")
     train.add_argument("corpus", help="tokenized text, one sentence per line ('-' for stdin)")
     train.add_argument("-o", "--output", required=True)
-    train.add_argument("--order", type=int, default=3)
-    train.add_argument("--alpha", type=float, default=0.1)
+    train.add_argument("--order", type=_positive_int, default=3)
+    train.add_argument("--alpha", type=_positive_float, default=0.1)
     train.set_defaults(handler=cmd_ngram_train)
 
     return parser

@@ -57,18 +57,16 @@ def candidate_soups(
     cset: CandidateSet,
     scorer: Scorer | None = None,
     score_floor: float = DEFAULT_SCORE_FLOOR,
-    dedup: bool = True,
 ) -> FusionResult:
     """Fuse a candidate set into a single token sequence.
 
-    Validates the set, dedups and re-scores each candidate, partitions, and
-    interleaves anchor tokens with the winning segment of every divergence
-    region.  Deterministic given the set and scorer.  ``dedup=False`` skips
-    duplicate removal (diagnostic only).
+    Validates the set, dedups and re-scores each candidate (``rescore_set``),
+    partitions, and interleaves anchor tokens with the winning segment of
+    every divergence region.  Deterministic given the set and scorer.
     """
     scorer = scorer if scorer is not None else SelfScorer()
     cset = validate(cset, score_floor)
-    prepared = rescore_set(cset, scorer, dedup=dedup)
+    prepared = rescore_set(cset, scorer)
     part = partition(prepared)
     scores = [c.scores for c in prepared.candidates]
 

@@ -219,22 +219,18 @@ def load_ngram(path: str) -> NGramModel:
     return NGramModel(order, alpha, counts, totals, frozenset(vocab))
 
 
-def rescore_set(
-    cset: CandidateSet,
-    scorer: Scorer,
-    dedup: bool = True,
-) -> CandidateSet:
+def rescore_set(cset: CandidateSet, scorer: Scorer) -> CandidateSet:
     """Dedup every candidate, then replace its scores with the scorer's.
 
-    Deduplication happens first so the new scores stay aligned with the
-    traversed tokens.  Raises ScorerFailure when a scorer returns a score
-    sequence whose length differs from the token count.
+    Both fusion and the NPD baseline work on deduped candidates, so the
+    dedup is not optional.  It happens first so the new scores stay aligned
+    with the traversed tokens.  Raises ScorerFailure when a scorer returns a
+    score sequence whose length differs from the token count.
     """
     source, rescore = cset.source, scorer.rescore
     out: list[ScoredCandidate] = []
     for cand in cset.candidates:
-        if dedup:
-            cand = remove_adjacent_duplicates(cand)
+        cand = remove_adjacent_duplicates(cand)
         scores = rescore(source, cand)
         tokens = cand.tokens
         if len(scores) != len(tokens):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate
 from .errors import EmptyReference
@@ -43,10 +43,6 @@ class NoiseConfig:
         for name in ("correct_score_std", "error_score_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
 
 
 def _clamp(score: float, floor: float) -> float:

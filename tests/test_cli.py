@@ -137,18 +137,6 @@ class TestFuse:
             f"id-{i}" for i in range(10)
         ]
 
-    def test_no_dedup_keeps_adjacent_repeats(self):
-        line = json.dumps(
-            {
-                "id": "dd",
-                "candidates": [{"tokens": ["a", "a", "b"], "scores": [-0.1, -0.2, -0.3]}],
-            }
-        )
-        _, out, _ = run(["fuse"], line)
-        assert json.loads(out)["output"] == ["a", "b"]
-        _, out, _ = run(["fuse", "--no-dedup"], line)
-        assert json.loads(out)["output"] == ["a", "a", "b"]
-
 
 class TestNpd:
     def test_keeps_milder_error_candidate_verbatim(self):
@@ -233,31 +221,15 @@ class TestSynth:
         assert [r["id"] for r in records] == ["0", "1"]
 
     def test_config_file_with_flag_override(self, tmp_path):
+        # every noise flag reaches NoiseConfig: substitution alone, then none
         refs = tmp_path / "refs.txt"
         refs.write_text("a b c d e f\n")
-        config = tmp_path / "noise.cfg"
-        config.write_text(
-            "substitution_rate = 1.0\n"
-            "insertion_rate = 0\ndeletion_rate = 0\nduplication_rate = 0\n"
-            "rng_seed = 4\n"
-        )
-        # config alone: every position substituted away from the reference
-        _, out, _ = run(["synth", str(refs), "--k", "1", "--config", str(config)])
+        argv = ["synth", str(refs), "--k", "1", "--seed", "4", "--insertion-rate", "0",
+                "--deletion-rate", "0", "--duplication-rate", "0"]
+        _, out, _ = run([*argv, "--substitution-rate", "1"])
         tokens = json.loads(out)["candidates"][0]["tokens"]
         assert all(tok != ref for tok, ref in zip(tokens, "a b c d e f".split()))
-        # flag overrides the config value
-        _, out, _ = run(
-            [
-                "synth",
-                str(refs),
-                "--k",
-                "1",
-                "--config",
-                str(config),
-                "--substitution-rate",
-                "0",
-            ]
-        )
+        _, out, _ = run([*argv, "--substitution-rate", "0"])
         assert json.loads(out)["candidates"][0]["tokens"] == "a b c d e f".split()
 
 
@@ -632,6 +604,7 @@ def test_clamp_warning_emitted_as_json_diagnostic():
     assert json.loads(out)["output"] == ["a", "b"]
     diagnostic = json.loads(err)
     assert "clamped" in diagnostic["error"]
+    assert diagnostic["line"] == 1
 
 
 def test_score_floor_env_override(monkeypatch):
@@ -701,11 +674,22 @@ def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
         (["fuse", "--bogus-flag"], "--bogus-flag"),
         (["compare", "--refs", "unused.txt", "--sweep-k", "-1..2"], "--sweep-k"),
         ([], "command"),
+        # removed options
+        (["fuse", "--no-dedup"], "--no-dedup"),
+        (["synth", "r.txt", "--config", "noise.cfg"], "--config"),
+    ]
+    + [
+        # an n-gram model that cannot be loaded used to exit 1
+        ([*argv, "--scorer", f"ngram:{model}"], "--scorer")
+        for model in ["missing.ngram", "garbage.ngram"]
+        for argv in [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]]
     ],
 )
-def test_bad_flag_value_is_usage_error(argv, named):
+def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
     # used to fail every record, drop candidates silently, exit 1, or print
     # argparse's plain-text usage and raise SystemExit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "garbage.ngram").write_text("not a model\n")
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
@@ -716,7 +700,7 @@ def test_bad_flag_value_is_usage_error(argv, named):
 
 
 @pytest.mark.parametrize(
-    "argv, config, named",
+    "argv, score_floor, named",
     [
         (["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
         (["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
@@ -726,18 +710,15 @@ def test_bad_flag_value_is_usage_error(argv, named):
         (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
         (["synth", "r.txt", "--k", "0"], None, "--k"),
         (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
-        (["synth", "r.txt"], "deletion_rate = 3\n", "deletion_rate"),
-        (["synth", "r.txt"], "insertion_rate = x\n", "could not convert"),
-        (["synth", "r.txt"], "bogus = 1\n", "unknown config key"),
+        (["synth", "r.txt"], "abc", "CDS_SCORE_FLOOR"),
     ],
 )
-def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, config, named):
+def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):
     # each used to exit 1 with a line-0 diagnostic, some after reading input;
     # the input files named here do not exist, so reading one would fail
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "noise.cfg").write_text(config)
-        argv = [*argv, "--config", "noise.cfg"]
+    if score_floor is not None:
+        monkeypatch.setenv("CDS_SCORE_FLOOR", score_floor)
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
@@ -1016,9 +997,10 @@ def test_every_line_gives_one_record_or_one_diagnostic(lines, argv):
     code, out, err = run(argv, "".join(line + "\n" for line in lines))
     nonblank = [n for n, line in enumerate(lines, start=1) if line.strip()]
     diagnostics = [strict_loads(line) for line in err.splitlines()]
-    # clamp warnings are not line failures; they carry line 0
-    assert all(d["error"].startswith("warning:") for d in diagnostics if d["line"] == 0)
-    failed = [d["line"] for d in diagnostics if d["line"] != 0]
+    # clamp warnings are not line failures, but they name their record's line
+    warned = [d["line"] for d in diagnostics if d["error"].startswith("warning:")]
+    assert set(warned) <= set(nonblank)
+    failed = [d["line"] for d in diagnostics if not d["error"].startswith("warning:")]
     assert len(set(failed)) == len(failed)
     assert set(failed) <= set(nonblank)
     records = [strict_loads(line) for line in out.splitlines()]

@@ -185,12 +185,12 @@ SCORERS = [SelfScorer(), ListScorer(), IntScorer(), IntTupleScorer(), ShortScore
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate_sets(), st.sampled_from(SCORERS), st.booleans())
-def test_rescore_set_matches_previous(cset, scorer, dedup):
+@given(candidate_sets(), st.sampled_from(SCORERS))
+def test_rescore_set_matches_previous(cset, scorer):
     results = []
     for fn in (rescore_set, previous_rescore_set):
         try:
-            results.append((ident(fn(cset, scorer, dedup)), None))
+            results.append((ident(fn(cset, scorer)), None))
         except Exception as exc:  # noqa: BLE001 - compared, not handled
             results.append((None, (type(exc), str(exc))))
     assert results[0] == results[1]
