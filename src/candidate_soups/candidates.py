@@ -10,7 +10,6 @@ shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import compress
@@ -102,15 +101,11 @@ def remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
     return _new(ScoredCandidate, kept)
 
 
-_WHITESPACE = re.compile(r"\s")
-
-
 def _tokens_valid(tokens: tuple[str, ...]) -> bool:
     """True when every token is a non-empty string without whitespace.
 
     Joined with no separator, the tokens hold whitespace only where a token
-    does; ``str.split`` and the ``_WHITESPACE`` pattern agree on what
-    whitespace is, and a string without any splits into itself alone.
+    does, and a string without whitespace splits into itself alone.
     """
     try:
         joined = "".join(tokens)
@@ -120,11 +115,9 @@ def _tokens_valid(tokens: tuple[str, ...]) -> bool:
 
 
 def _check_tokens(tokens: tuple[str, ...], where: str) -> None:
-    for tok in tokens:
-        if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
-            raise InvalidToken(
-                f"{where}: token {tok!r} must be a non-empty string without whitespace"
-            )
+    """Raise InvalidToken naming the first token that ``_tokens_valid`` rejects."""
+    tok = next(t for t in tokens if not _tokens_valid((t,)))
+    raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
 
 
 def validate(
@@ -150,7 +143,8 @@ def validate(
     """
     if not cset.candidates:
         raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
-    if cset.source is not None and not _tokens_valid(cset.source):
+    # an empty source is valid, though _tokens_valid(()) is False
+    if cset.source and not _tokens_valid(cset.source):
         _check_tokens(cset.source, f"set {cset.id!r} source")
 
     clamped = 0

@@ -1,13 +1,15 @@
 """Batch command-line interface over line-delimited JSON.
 
-Commands: fuse | npd | synth | bleu | compare | ngram-train.  Input records
-are processed one line at a time (no whole-file buffering) and output order
-matches input order.  Per-line failures (malformed JSON or UTF-8, a record
-of the wrong shape or types, an invalid candidate set) are reported to
-stderr as JSON lines ``{"line": N, "error": "..."}`` and the next line is
-processed; the process exits 0 on success, 1 when any line failed, 2 on
-usage errors.  A usage error is reported as one line-0 diagnostic before
-any input is read:
+Commands: fuse | npd | synth | bleu | compare | ngram-train.  Every input
+is read by ``_input_lines``, one numbered line at a time, and output order
+matches input order.  The streaming commands (fuse, npd, synth) report a
+bad line (malformed JSON or UTF-8, a record of the wrong shape or types, an
+invalid candidate set, an empty reference) to stderr as a JSON line
+``{"line": N, "error": "..."}`` and go on with the next line.  The commands
+that need a whole input (compare, bleu, ngram-train) stop at the first bad
+line with one such diagnostic (``_Stop``).  The process exits 0 on success,
+1 when any line failed, 2 on usage errors.  A usage error is reported as one
+line-0 diagnostic before any input is read:
 
 - an argument argparse rejects (unknown, missing or not of its type);
 - ``--max-candidates``, ``synth --k``, ``bleu --max-n`` or
@@ -16,10 +18,13 @@ any input is read:
   number > 0;
 - a ``--sweep-k`` that is not ``A..B`` with 1 <= A <= B;
 - an unknown ``--scorer``, or an ``ngram:`` model that is missing,
-  unreadable or malformed;
+  unreadable or malformed, including a header whose order is not an
+  integer >= 1 or whose alpha is not a finite number > 0;
 - a ``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is
   not a finite number <= 0;
-- a ``synth`` noise flag that ``NoiseConfig`` rejects.
+- a ``synth`` noise flag that ``NoiseConfig`` rejects: a rate outside
+  [0, 1], a score mean that is not a finite number <= 0, or a standard
+  deviation that is not a finite number >= 0.
 
 The flag ranges above are checked by argparse types, the noise flags by
 ``NoiseConfig``.  A clamped score is reported as a ``"warning: ..."``
@@ -38,7 +43,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import IO
 
 from .candidates import (
@@ -245,24 +250,32 @@ def _diagnostic(err: IO[str], line_no: int, message: str) -> None:
 
 
 @contextmanager
-def _open_input(path: str, stdin: IO[str]):
-    # invalid UTF-8 must fail its own line, not the whole stream
-    if path == "-":
+def _input_lines(path: str, stdin: IO[str] | None = None):
+    """Open ``path`` (``-``: ``stdin``, when given) and yield its numbered lines.
+
+    Each item is ``(line_no, line)``, counted from 1, with ``line`` None
+    where the line is not valid UTF-8: that fails its own line, or stops a
+    command that needs the whole input, never the read itself.
+    """
+    if path == "-" and stdin is not None:
         if isinstance(stdin, io.TextIOWrapper):
             stdin.reconfigure(errors="surrogateescape")
-        yield stdin
+        source = nullcontext(stdin)
     else:
-        with _open_text(path) as fp:
-            yield fp
+        source = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    with source as fp:
+        yield (
+            (line_no, None if not line.isascii() and _LONE_SURROGATE.search(line) else line)
+            for line_no, line in enumerate(fp, start=1)
+        )
 
 
-def _open_text(path: str) -> IO[str]:
-    # a line with invalid UTF-8 is found by _is_invalid_utf8
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+class _Stop(Exception):
+    """Stops a command at an input line: ``main`` reports it there and exits 1."""
 
-
-def _is_invalid_utf8(line: str) -> bool:
-    return not line.isascii() and _LONE_SURROGATE.search(line) is not None
+    def __init__(self, line_no: int, message: str):
+        super().__init__(message)
+        self.line_no = line_no
 
 
 def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
@@ -272,20 +285,20 @@ def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
 
 
 def _iter_records(
-    stream: IO[str], err: IO[str], score_floor: float
+    lines: Iterator[tuple[int, str | None]], err: IO[str], score_floor: float
 ) -> Iterator[tuple[int, CandidateSet | None]]:
-    """Yield (line number, parsed set) pairs; parse failures yield None."""
+    """Yield (line number, parsed set) pairs from ``_input_lines``; parse failures yield None."""
 
     def warn(message: str) -> None:
         _diagnostic(err, line_no, f"warning: {message}")  # the line being parsed
 
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, line in lines:
         try:
-            if _is_invalid_utf8(line):
+            if line is None:
                 raise ValueError("line is not valid UTF-8")
+            line = line.strip()
+            if not line:
+                continue
             cset = parse_candidate_record(json.loads(line), score_floor, warn)
         except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             # OverflowError: an int score beyond float range;
@@ -301,8 +314,8 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
     if args.oracle_check:
         _bind_oracle()  # build_lattice and oracle_best, called below
     failed = False
-    with _open_input(args.input, stdin) as stream:
-        for line_no, cset in _iter_records(stream, stderr, floor):
+    with _input_lines(args.input, stdin) as lines:
+        for line_no, cset in _iter_records(lines, stderr, floor):
             if cset is None:
                 failed = True
                 continue
@@ -327,8 +340,8 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     floor, scorer = _make_scorer(args.scorer)
     failed = False
-    with _open_input(args.input, stdin) as stream:
-        for line_no, cset in _iter_records(stream, stderr, floor):
+    with _input_lines(args.input, stdin) as lines:
+        for line_no, cset in _iter_records(lines, stderr, floor):
             if cset is None:
                 failed = True
                 continue
@@ -356,26 +369,25 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
 
     # read once (the file may be a pipe): the corruption vocabulary needs
     # every line before the first record is generated
-    with _open_text(args.refs) as fp:
-        lines = fp.readlines()
+    with _input_lines(args.refs) as refs:
+        lines = list(refs)
     vocab_seen: dict[str, None] = {}
-    for line in lines:
-        if _is_invalid_utf8(line):
+    for _, line in lines:
+        if line is None:
             continue  # reported below
         for tok in line.split():
             vocab_seen.setdefault(tok)
     vocab = tuple(vocab_seen)
     failed = False
-    for index, line in enumerate(lines):
-        line_no = index + 1
-        if _is_invalid_utf8(line):
+    for line_no, line in lines:
+        if line is None:
             _diagnostic(stderr, line_no, "reference line is not valid UTF-8")
             failed = True
             continue
         reference = tuple(line.split())
         try:
             cset = generate_candidates(
-                reference, args.k, config, vocab, ident=str(index), score_floor=floor
+                reference, args.k, config, vocab, ident=str(line_no - 1), score_floor=floor
             )
         except EmptyReference:
             _diagnostic(stderr, line_no, "reference sentence is empty")
@@ -385,61 +397,48 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
     return 1 if failed else 0
 
 
-class _BadInputLine(Exception):
-    """A line that stops a command which needs its whole input file."""
-
-    def __init__(self, path: str, line_no: int, message: str):
-        super().__init__(f"{path}: {message}")
-        self.line_no = line_no
-
-
-def _checked_lines(path: str, fp: IO[str]) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(fp, start=1):
-        if _is_invalid_utf8(line):
-            raise _BadInputLine(path, line_no, "line is not valid UTF-8")
-        yield line_no, line
-
-
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    with _open_text(path) as fp:
-        yield from _checked_lines(path, fp)
-
-
-def _read_token_lines(path: str) -> list[tuple[str, ...]]:
-    return [tuple(line.split()) for _, line in _read_lines(path)]
+def _read_token_lines(path: str, stdin: IO[str] | None = None) -> list[tuple[str, ...]]:
+    """Every line of ``path`` split into tokens; an invalid UTF-8 line stops the command."""
+    out = []
+    with _input_lines(path, stdin) as lines:
+        for line_no, line in lines:
+            if line is None:
+                raise _Stop(line_no, f"{path}: line is not valid UTF-8")
+            out.append(tuple(line.split()))
+    return out
 
 
 def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
+    """The ``output`` of every record in ``path``; a bad line stops the command."""
     out = []
-    for line_no, line in _read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            output = json.loads(line)["output"]
-        except json.JSONDecodeError as exc:
-            raise _BadInputLine(path, line_no, f"invalid JSON: {exc.msg}") from None
-        except (KeyError, TypeError, RecursionError):
-            raise _BadInputLine(path, line_no, "record must be an object with 'output'") from None
-        if not isinstance(output, list) or not set(map(type, output)) <= {str}:
-            raise _BadInputLine(path, line_no, "'output' must be a list of strings")
-        out.append(tuple(output))
+    with _input_lines(path) as lines:
+        for line_no, line in lines:
+            if line is None:
+                raise _Stop(line_no, f"{path}: line is not valid UTF-8")
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                output = json.loads(line)["output"]
+            except json.JSONDecodeError as exc:
+                raise _Stop(line_no, f"{path}: invalid JSON: {exc.msg}") from None
+            except (KeyError, TypeError, RecursionError):
+                raise _Stop(line_no, f"{path}: record must be an object with 'output'") from None
+            if not isinstance(output, list) or not set(map(type, output)) <= {str}:
+                raise _Stop(line_no, f"{path}: 'output' must be a list of strings")
+            out.append(tuple(output))
     return out
 
 
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .bleu import bleu_with_smoothing, corpus_bleu
 
-    try:
-        hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
-        refs = _read_token_lines(args.ref)
-        if len(hyps) == len(refs):  # a count mismatch is reported first, as corpus_bleu does
-            for line_no, ref in enumerate(refs, start=1):
-                if not ref:
-                    raise _BadInputLine(args.ref, line_no, "reference sentence is empty")
-    except _BadInputLine as exc:
-        _diagnostic(stderr, exc.line_no, str(exc))
-        return 1
+    hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
+    refs = _read_token_lines(args.ref)
+    if len(hyps) == len(refs):  # a count mismatch is reported first, as corpus_bleu does
+        for line_no, ref in enumerate(refs, start=1):
+            if not ref:
+                raise _Stop(line_no, f"{args.ref}: reference sentence is empty")
     if args.smooth is not None:
         report = bleu_with_smoothing(hyps, refs, max_n=args.max_n, epsilon=args.smooth)
     else:
@@ -460,26 +459,24 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     sentences = 0
     seen_ids: set[str] = set()
     with (
-        _open_text(args.refs) as ref_fp,
-        _open_input(args.input, stdin) as stream,
+        _input_lines(args.refs) as ref_lines,
+        _input_lines(args.input, stdin) as lines,
     ):
-        records = _iter_records(stream, stderr, floor)
-        for line_no, cset in records:
+        for line_no, cset in _iter_records(lines, stderr, floor):
             if cset is None:
                 return 1  # diagnostic already emitted
             if cset.id in seen_ids:
-                return _compare_fail(stderr, line_no, f"duplicate record id {cset.id!r}")
+                raise _Stop(line_no, f"duplicate record id {cset.id!r}")
             seen_ids.add(cset.id)
-            ref_line = ref_fp.readline()
-            if not ref_line:
-                return _compare_fail(stderr, line_no, "more records than references")
-            if _is_invalid_utf8(ref_line):
-                return _compare_fail(
-                    stderr, line_no, f"reference line {sentences + 1} is not valid UTF-8"
-                )
+            ref = next(ref_lines, None)
+            if ref is None:
+                raise _Stop(line_no, "more records than references")
+            ref_no, ref_line = ref
+            if ref_line is None:
+                raise _Stop(line_no, f"reference line {ref_no} is not valid UTF-8")
             ref_tokens = ref_line.split()
             if not ref_tokens:
-                return _compare_fail(stderr, line_no, f"reference line {sentences + 1} is empty")
+                raise _Stop(line_no, f"reference line {ref_no} is empty")
             # every method and sweep step below is scored against this one record's
             # n-gram counts, and each distinct output is clipped once
             reference = Reference(ref_tokens)
@@ -498,11 +495,11 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
                 subset = _truncated(cset, k)
                 accs["cds"].add(candidate_soups(subset, scorer, floor).tokens, reference)
                 accs["npd"].add(npd_select(subset, scorer)[1].tokens, reference)
-        if ref_fp.readline():
-            return _compare_fail(stderr, 0, "more references than records")
+        if next(ref_lines, None) is not None:
+            raise _Stop(0, "more references than records")
 
     if sentences == 0:
-        return _compare_fail(stderr, 0, "no records to compare")
+        raise _Stop(0, "no records to compare")
 
     summary = {
         "sentences": sentences,
@@ -527,21 +524,10 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
     return 0
 
 
-def _compare_fail(stderr: IO[str], line_no: int, message: str) -> int:
-    _diagnostic(stderr, line_no, message)
-    return 1
-
-
 def cmd_ngram_train(
     args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]
 ) -> int:
-    try:
-        with _open_input(args.corpus, stdin) as stream:
-            lines = _checked_lines(args.corpus, stream)
-            corpus = [line.split() for _, line in lines if line.strip()]
-    except _BadInputLine as exc:
-        _diagnostic(stderr, exc.line_no, str(exc))
-        return 1
+    corpus = [tokens for tokens in _read_token_lines(args.corpus, stdin) if tokens]
     model = train_ngram(corpus, n=args.order, alpha=args.alpha)
     save_ngram(model, args.output)
     stdout.write(
@@ -657,6 +643,9 @@ def main(
     except UsageError as exc:
         _diagnostic(stderr, 0, str(exc))
         return 2
+    except _Stop as exc:
+        _diagnostic(stderr, exc.line_no, str(exc))
+        return 1
     except (CdsError, OSError, ValueError) as exc:
         _diagnostic(stderr, 0, str(exc))
         return 1

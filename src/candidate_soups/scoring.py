@@ -95,6 +95,14 @@ class NGramModel(record("NGramModel", "order alpha counts context_totals vocabul
         return (count + self.alpha) / (total + self.alpha * event_count)
 
 
+def _check_settings(order: int, alpha: float) -> None:
+    """The settings every model holds: an integer order >= 1 and a finite alpha > 0."""
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"n-gram order must be an integer >= 1, got {order!r}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"smoothing constant must be a finite number > 0, got {alpha!r}")
+
+
 def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1) -> NGramModel:
     """Count n-grams over a corpus with start padding and one end symbol.
 
@@ -102,12 +110,10 @@ def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1)
     end symbol, so the end symbol is a predictable event while the start
     symbols appear only in contexts.
 
-    Raises EmptyCorpus when the corpus has no sentences.
+    Raises EmptyCorpus when the corpus has no sentences, and ValueError on
+    settings that ``_check_settings`` rejects.
     """
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"smoothing constant must be > 0, got {alpha}")
+    _check_settings(n, alpha)
 
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     totals: dict[tuple[str, ...], int] = {}
@@ -207,6 +213,7 @@ def load_ngram(path: str) -> NGramModel:
         if len(header) != 3 or header[0] != "ngram":
             raise ValueError(f"{path}: not an n-gram model file")
         order, alpha = int(header[1]), float(header[2])
+        _check_settings(order, alpha)
         for line in fp:
             line = line.rstrip("\n")
             if not line:

@@ -12,6 +12,7 @@ the shared prefix of candidates unchanged.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,11 +39,13 @@ class NoiseConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         for name in ("correct_score_mean", "error_score_mean"):
-            if getattr(self, name) > 0:
-                raise ValueError(f"{name} must be <= 0")
+            mean = getattr(self, name)
+            if not -math.inf < mean <= 0:
+                raise ValueError(f"{name} must be a finite number <= 0, got {mean}")
         for name in ("correct_score_std", "error_score_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            std = getattr(self, name)
+            if not 0 <= std < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {std}")
 
 
 def _clamp(score: float, floor: float) -> float:

@@ -403,6 +403,47 @@ class TestCompare:
             {"line": 2, "error": "reference line 2 is empty"}
         ]
 
+    def test_more_references_than_records(self, tmp_path):
+        refs, records = self.make_corpus(tmp_path)
+        long = tmp_path / "long.txt"
+        long.write_text(refs.read_text() + "w1 w2\n")
+        code, out, err = run(["compare", "--refs", str(long)], records)
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 0, "error": "more references than records"}
+        ]
+
+    @pytest.mark.parametrize(
+        "refs_text, message",
+        [("", "no records to compare"), ("w1 w2\n", "more references than records")],
+    )
+    def test_empty_input(self, tmp_path, refs_text, message):
+        refs = tmp_path / "refs.txt"
+        refs.write_text(refs_text)
+        code, out, err = run(["compare", "--refs", str(refs)], "")
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{"line": 0, "error": message}]
+
+    def test_invalid_utf8_record_line_stops_the_run(self, tmp_path):
+        refs, records = self.make_corpus(tmp_path)
+        lines = records.encode().splitlines(keepends=True)
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(lines[0] + INVALID_UTF8_RECORD + b"".join(lines[1:]))
+        code, out, err = run(["compare", str(path), "--refs", str(refs)])
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 2, "error": "line is not valid UTF-8"}
+        ]
+
+    def test_missing_refs_file_is_the_only_diagnostic(self, tmp_path):
+        # the references are opened before the first record is read
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(["compare", "--refs", str(missing)], "{bad\n" + cross_error_line())
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        diagnostic = json.loads(line)
+        assert diagnostic["line"] == 0 and str(missing) in diagnostic["error"]
+
 
 class TestCompareScoresEachCandidateOnce:
     """``compare --sweep-k`` rescores the same deduped candidates for every
@@ -652,6 +693,16 @@ def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
     assert "CDS_SCORE_FLOOR" in diagnostic["error"] and repr(value) in diagnostic["error"]
 
 
+BAD_MODELS = {
+    "garbage.ngram": "not a model\n",
+    # headers that used to load: a NaN alpha scored every token at the floor
+    "nan.ngram": "ngram 3 nan\n",
+    "inf.ngram": "ngram 3 inf\n",
+    "negative.ngram": "ngram 3 -1\n",
+    "order0.ngram": "ngram 0 0.1\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -681,7 +732,7 @@ def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
     + [
         # an n-gram model that cannot be loaded used to exit 1
         ([*argv, "--scorer", f"ngram:{model}"], "--scorer")
-        for model in ["missing.ngram", "garbage.ngram"]
+        for model in ["missing.ngram", *BAD_MODELS]
         for argv in [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]]
     ],
 )
@@ -689,7 +740,8 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
     # used to fail every record, drop candidates silently, exit 1, or print
     # argparse's plain-text usage and raise SystemExit
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "garbage.ngram").write_text("not a model\n")
+    for name, text in BAD_MODELS.items():
+        (tmp_path / name).write_text(text)
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
@@ -711,6 +763,9 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
         (["synth", "r.txt", "--k", "0"], None, "--k"),
         (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
         (["synth", "r.txt"], "abc", "CDS_SCORE_FLOOR"),
+        # non-finite noise settings used to pass and write floor scores
+        (["synth", "r.txt", "--correct-score-mean", "nan"], None, "correct_score_mean"),
+        (["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
     ],
 )
 def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):

@@ -75,6 +75,10 @@ class TestTrainNgram:
             train_ngram([["a"]], n=0)
         with pytest.raises(ValueError):
             train_ngram([["a"]], alpha=0.0)
+        # a NaN alpha used to pass, since nan <= 0 is false
+        for settings in ({"n": 2.0}, {"alpha": float("nan")}, {"alpha": float("inf")}):
+            with pytest.raises(ValueError):
+                train_ngram([["a"]], **settings)
 
 
 class TestNgramScore:
@@ -145,6 +149,12 @@ class TestPersistence:
         path.write_text("not a model\n")
         with pytest.raises(ValueError):
             load_ngram(str(path))
+        # headers train_ngram would never write used to load; a NaN alpha
+        # scored every token at the floor
+        for header in ["ngram 3 nan", "ngram 3 inf", "ngram 3 -1", "ngram 0 0.1"]:
+            path.write_text(header + "\na\tb\t1\n")
+            with pytest.raises(ValueError, match="order|smoothing"):
+                load_ngram(str(path))
 
 
 def two_candidate_set(mean_a, mean_b):

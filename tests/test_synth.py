@@ -24,6 +24,10 @@ class TestNoiseConfig:
             {"insertion_rate": 1.5},
             {"correct_score_mean": 0.2},
             {"error_score_std": -1.0},
+            {"correct_score_mean": float("nan")},
+            {"error_score_mean": float("-inf")},
+            {"correct_score_std": float("nan")},
+            {"error_score_std": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
