@@ -19,7 +19,7 @@ from operator import ne
 from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 
 # Scores below this are clamped during validation; prevents -inf from
-# poisoning segment means.  Overridable per call (CLI: CDS_SCORE_FLOOR).
+# poisoning segment means.  Library calls take a ``score_floor``; the CLI uses this.
 DEFAULT_SCORE_FLOOR = -30.0
 
 _CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"

@@ -9,26 +9,15 @@ invalid candidate set, an empty reference) to stderr as a JSON line
 that need a whole input (compare, bleu, ngram-train) stop at the first bad
 line with one such diagnostic (``_Stop``).  The process exits 0 on success,
 1 when any line failed, 2 on usage errors.  A usage error is reported as one
-line-0 diagnostic before any input is read:
+line-0 diagnostic before any input is read: an argument that argparse or its
+type (``_positive_int``, ``_positive_float``, ``_k_range``) rejects, a
+``synth`` noise flag that ``NoiseConfig`` rejects, or a ``--scorer`` that is
+unknown or names a model that ``load_ngram`` rejects.
 
-- an argument argparse rejects (unknown, missing or not of its type);
-- ``--max-candidates``, ``synth --k``, ``bleu --max-n`` or
-  ``ngram-train --order`` below 1;
-- a ``bleu --smooth`` or ``ngram-train --alpha`` that is not a finite
-  number > 0;
-- a ``--sweep-k`` that is not ``A..B`` with 1 <= A <= B;
-- an unknown ``--scorer``, or an ``ngram:`` model that is missing,
-  unreadable or malformed, including a header whose order is not an
-  integer >= 1 or whose alpha is not a finite number > 0;
-- a ``CDS_SCORE_FLOOR`` (which overrides the default score floor) that is
-  not a finite number <= 0;
-- a ``synth`` noise flag that ``NoiseConfig`` rejects: a rate outside
-  [0, 1], a score mean that is not a finite number <= 0, or a standard
-  deviation that is not a finite number >= 0.
-
-The flag ranges above are checked by argparse types, the noise flags by
-``NoiseConfig``.  A clamped score is reported as a ``"warning: ..."``
-diagnostic on its record's line.  Output is strict JSON (no NaN or
+Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
+``"warning: ..."`` diagnostic on its record's line.  The process's own
+stdin, stdout and stderr are UTF-8 whatever the locale, so a run depends
+only on its arguments and input bytes.  Output is strict JSON (no NaN or
 Infinity) in valid UTF-8.  Each command imports only the modules it runs.
 """
 
@@ -38,7 +27,6 @@ import argparse
 import io
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -99,30 +87,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _score_floor() -> float:
-    raw = os.environ.get("CDS_SCORE_FLOOR")
-    if not raw:
-        return DEFAULT_SCORE_FLOOR
-    try:
-        floor = float(raw)
-    except ValueError:
-        floor = math.nan
-    if not (-math.inf < floor <= 0):
-        raise UsageError(f"CDS_SCORE_FLOOR must be a finite number <= 0, got {raw!r}")
-    return floor
-
-
-def _make_scorer(selector: str) -> tuple[float, Scorer]:
-    """The score floor and the scorer ``--scorer`` names; bad values are usage errors."""
-    floor = _score_floor()
+def _make_scorer(selector: str) -> Scorer:
+    """The scorer ``--scorer`` names; bad values are usage errors."""
     if selector == "self":
-        return floor, SelfScorer()
+        return SelfScorer()
     if selector.startswith("ngram:"):
         try:
             model = load_ngram(selector[len("ngram:") :])
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load --scorer model: {exc}") from None
-        return floor, NGramScorer(model, floor)
+        return NGramScorer(model)
     raise UsageError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
 
 
@@ -148,15 +122,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# ``compare`` sets up two BLEU accumulators per swept count before it reads
+# any input, and fuses every record once per count: B bounds memory and time.
+MAX_SWEEP_K = 1000
+
+
 def _k_range(text: str) -> range:
-    """An argparse type: ``A..B`` with 1 <= A <= B, as the candidate counts A to B."""
+    """An argparse type: ``A..B`` with 1 <= A <= B <= MAX_SWEEP_K, as the counts A to B."""
     lo, _, hi = text.partition("..")
     try:
         start, stop = int(lo), int(hi)
     except ValueError:
         start = stop = 0
-    if start < 1 or stop < start:
-        raise argparse.ArgumentTypeError(f"must be A..B with 1 <= A <= B, got {text!r}")
+    if not 1 <= start <= stop <= MAX_SWEEP_K:
+        raise argparse.ArgumentTypeError(f"{text!r} is not A..B with 1 <= A <= B <= {MAX_SWEEP_K}")
     return range(start, stop + 1)
 
 
@@ -258,8 +237,6 @@ def _input_lines(path: str, stdin: IO[str] | None = None):
     command that needs the whole input, never the read itself.
     """
     if path == "-" and stdin is not None:
-        if isinstance(stdin, io.TextIOWrapper):
-            stdin.reconfigure(errors="surrogateescape")
         source = nullcontext(stdin)
     else:
         source = open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -285,7 +262,7 @@ def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
 
 
 def _iter_records(
-    lines: Iterator[tuple[int, str | None]], err: IO[str], score_floor: float
+    lines: Iterator[tuple[int, str | None]], err: IO[str]
 ) -> Iterator[tuple[int, CandidateSet | None]]:
     """Yield (line number, parsed set) pairs from ``_input_lines``; parse failures yield None."""
 
@@ -299,7 +276,7 @@ def _iter_records(
             line = line.strip()
             if not line:
                 continue
-            cset = parse_candidate_record(json.loads(line), score_floor, warn)
+            cset = parse_candidate_record(json.loads(line), DEFAULT_SCORE_FLOOR, warn)
         except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             # OverflowError: an int score beyond float range;
             # RecursionError: nesting too deep for the json decoder
@@ -310,18 +287,18 @@ def _iter_records(
 
 
 def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor, scorer = _make_scorer(args.scorer)
+    scorer = _make_scorer(args.scorer)
     if args.oracle_check:
         _bind_oracle()  # build_lattice and oracle_best, called below
     failed = False
     with _input_lines(args.input, stdin) as lines:
-        for line_no, cset in _iter_records(lines, stderr, floor):
+        for line_no, cset in _iter_records(lines, stderr):
             if cset is None:
                 failed = True
                 continue
             cset = _truncated(cset, args.max_candidates)
             try:
-                result = candidate_soups(cset, scorer, floor)
+                result = candidate_soups(cset, scorer)
                 if args.oracle_check:
                     prepared = rescore_set(cset, scorer)
                     best = oracle_best(build_lattice(prepared))
@@ -338,10 +315,10 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 
 
 def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    floor, scorer = _make_scorer(args.scorer)
+    scorer = _make_scorer(args.scorer)
     failed = False
     with _input_lines(args.input, stdin) as lines:
-        for line_no, cset in _iter_records(lines, stderr, floor):
+        for line_no, cset in _iter_records(lines, stderr):
             if cset is None:
                 failed = True
                 continue
@@ -360,7 +337,6 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
 
     from .synth import NoiseConfig, generate_candidates
 
-    floor = _score_floor()
     flags = {field.name: getattr(args, field.name) for field in fields(NoiseConfig)}
     try:
         config = NoiseConfig(**{name: value for name, value in flags.items() if value is not None})
@@ -371,13 +347,8 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
     # every line before the first record is generated
     with _input_lines(args.refs) as refs:
         lines = list(refs)
-    vocab_seen: dict[str, None] = {}
-    for _, line in lines:
-        if line is None:
-            continue  # reported below
-        for tok in line.split():
-            vocab_seen.setdefault(tok)
-    vocab = tuple(vocab_seen)
+    texts = [line for _, line in lines if line is not None]  # None lines are reported below
+    vocab = tuple(dict.fromkeys(tok for text in texts for tok in text.split()))
     failed = False
     for line_no, line in lines:
         if line is None:
@@ -386,9 +357,7 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
             continue
         reference = tuple(line.split())
         try:
-            cset = generate_candidates(
-                reference, args.k, config, vocab, ident=str(line_no - 1), score_floor=floor
-            )
+            cset = generate_candidates(reference, args.k, config, vocab, ident=str(line_no - 1))
         except EmptyReference:
             _diagnostic(stderr, line_no, "reference sentence is empty")
             failed = True
@@ -450,7 +419,7 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
 def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from .bleu import BleuAccumulator, Reference
 
-    floor, scorer = _make_scorer(args.scorer)
+    scorer = _make_scorer(args.scorer)
     accumulators = {name: BleuAccumulator() for name in ("single", "npd", "cds")}
     sweep_acc = {k: {"cds": BleuAccumulator(), "npd": BleuAccumulator()}
                  for k in args.sweep_k or ()}
@@ -462,7 +431,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
         _input_lines(args.refs) as ref_lines,
         _input_lines(args.input, stdin) as lines,
     ):
-        for line_no, cset in _iter_records(lines, stderr, floor):
+        for line_no, cset in _iter_records(lines, stderr):
             if cset is None:
                 return 1  # diagnostic already emitted
             if cset.id in seen_ids:
@@ -487,13 +456,13 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
             _, npd_winner = npd_select(cset, scorer)
             accumulators["npd"].add(npd_winner.tokens, reference)
             started = time.perf_counter()
-            fused = candidate_soups(cset, scorer, floor)
+            fused = candidate_soups(cset, scorer)
             fusion_seconds += time.perf_counter() - started
             accumulators["cds"].add(fused.tokens, reference)
 
             for k, accs in sweep_acc.items():
                 subset = _truncated(cset, k)
-                accs["cds"].add(candidate_soups(subset, scorer, floor).tokens, reference)
+                accs["cds"].add(candidate_soups(subset, scorer).tokens, reference)
                 accs["npd"].add(npd_select(subset, scorer)[1].tokens, reference)
         if next(ref_lines, None) is not None:
             raise _Stop(0, "more references than records")
@@ -579,15 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("refs", help="one whitespace-tokenized sentence per line")
     synth.add_argument("--k", type=_positive_int, default=5, help="candidates per sentence")
     synth.add_argument("--seed", dest="rng_seed", type=int, default=None)
-    for rate in ("substitution-rate", "insertion-rate", "deletion-rate", "duplication-rate"):
-        synth.add_argument(f"--{rate}", type=float, default=None)
-    for stat in (
-        "correct-score-mean",
-        "correct-score-std",
-        "error-score-mean",
-        "error-score-std",
-    ):
-        synth.add_argument(f"--{stat}", type=float, default=None)
+    for noise in ("substitution-rate", "insertion-rate", "deletion-rate", "duplication-rate",
+                  "correct-score-mean", "correct-score-std", "error-score-mean", "error-score-std"):
+        synth.add_argument(f"--{noise}", type=float, default=None)  # checked by NoiseConfig
     synth.set_defaults(handler=cmd_synth)
 
     bleu = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against references")
@@ -628,15 +591,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _utf8(stream: IO[str], errors: str) -> IO[str]:
+    """``stream`` set to UTF-8 whatever the locale, with the handler of Python's UTF-8 mode."""
+    if isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(encoding="utf-8", errors=errors)
+    return stream
+
+
 def main(
     argv: Sequence[str] | None = None,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
     stderr: IO[str] | None = None,
 ) -> int:
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
+    stdin = stdin if stdin is not None else _utf8(sys.stdin, "surrogateescape")
+    stdout = stdout if stdout is not None else _utf8(sys.stdout, "surrogateescape")
+    stderr = stderr if stderr is not None else _utf8(sys.stderr, "backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args, stdin, stdout, stderr)

@@ -5,10 +5,7 @@ log-probabilities the candidates arrived with.  ``NGramScorer`` wraps an
 add-alpha-smoothed n-gram language model trained on a reference corpus and
 stands in for a heavier sequence model; it scores target tokens only and
 ignores the source side (the interface carries the source so a conditional
-scorer can be plugged in later).  It memoizes its last ``NGRAM_MEMO_SIZE``
-token sequences, so the methods and the k-sweep of ``cds compare``, which
-rescore the same deduped candidates of a record many times, score each one
-once.
+scorer can be plugged in later).
 
 ``npd_select`` is the single-candidate baseline: it keeps the one candidate
 with the highest mean log-probability and discards the rest.
@@ -25,6 +22,7 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
+    _tokens_valid,
     record,
     remove_adjacent_duplicates,
 )
@@ -49,6 +47,10 @@ class Scorer:
 
     ``rescore`` is the one method a scorer defines.  Implementations must be
     deterministic and safe for concurrent read-only use after construction.
+    To fail one candidate set, raise a ``CdsError`` such as ``ScorerFailure``:
+    ``cds fuse`` and ``cds npd`` report it on that record's line and go on.
+    Any other exception is a fault in the scorer: it propagates unchanged out
+    of ``rescore_set``, ``npd_select`` and ``candidate_soups``, and ends a run.
     """
 
     def rescore(self, source: Sequence[str] | None, candidate: ScoredCandidate) -> Sequence[float]:
@@ -103,6 +105,18 @@ def _check_settings(order: int, alpha: float) -> None:
         raise ValueError(f"smoothing constant must be a finite number > 0, got {alpha!r}")
 
 
+def _model(order: int, alpha: float, counts: dict, totals: dict, vocab: set[str]) -> NGramModel:
+    """The model of these counts; ValueError if some probability is 0, which has no log."""
+    # the least probability of any event: an unknown token after the commonest context
+    try:
+        least = alpha / (max(totals.values(), default=0) + alpha * (len(vocab) + 1))
+    except OverflowError:  # a total beyond the float range
+        least = 0.0
+    if not least > 0:
+        raise ValueError(f"n-gram counts too large for smoothing constant {alpha!r}")
+    return NGramModel(order, alpha, counts, totals, frozenset(vocab))
+
+
 def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1) -> NGramModel:
     """Count n-grams over a corpus with start padding and one end symbol.
 
@@ -111,7 +125,7 @@ def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1)
     symbols appear only in contexts.
 
     Raises EmptyCorpus when the corpus has no sentences, and ValueError on
-    settings that ``_check_settings`` rejects.
+    settings that ``_check_settings`` rejects or counts that ``_model`` does.
     """
     _check_settings(n, alpha)
 
@@ -132,7 +146,7 @@ def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1)
     if not seen_any:
         raise EmptyCorpus("n-gram training corpus has no sentences")
     vocab.add(END_SYMBOL)
-    return NGramModel(n, alpha, counts, totals, frozenset(vocab))
+    return _model(n, alpha, counts, totals, vocab)
 
 
 def ngram_score(
@@ -199,11 +213,14 @@ def save_ngram(model: NGramModel, path: str) -> None:
 
 
 def load_ngram(path: str) -> NGramModel:
-    """Load a model written by ``save_ngram``.
+    """Load a model written by ``save_ngram``, or raise ValueError.
 
     Context totals and the vocabulary are reconstructed from the count
     lines: every context occurrence has exactly one continuation, and every
-    trained token occurs as some n-gram's target.
+    trained token occurs as some n-gram's target.  A count line that
+    ``save_ngram`` would not write is an error that names the line, and
+    ``_model`` checks the counts, so every ``ngram_score`` of a model that
+    loads is a finite log-probability.
     """
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     totals: dict[tuple[str, ...], int] = {}
@@ -214,16 +231,31 @@ def load_ngram(path: str) -> NGramModel:
             raise ValueError(f"{path}: not an n-gram model file")
         order, alpha = int(header[1]), float(header[2])
         _check_settings(order, alpha)
-        for line in fp:
+        for line_no, line in enumerate(fp, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            context_part, token, count = line.split("\t")
-            context = tuple(context_part.split(" ")) if context_part else ()
-            counts.setdefault(context, {})[token] = int(count)
-            totals[context] = totals.get(context, 0) + int(count)
+            try:  # every ValueError of the line (a bad field count, too many digits) names it
+                context_part, token, count_text = line.split("\t")
+                context = tuple(context_part.split(" ")) if context_part else ()
+                count = int(count_text) if count_text.isdecimal() else 0
+                by_token = counts.setdefault(context, {})
+                if (
+                    count < 1
+                    or len(context) != order - 1
+                    or token in by_token
+                    or not _tokens_valid((*context, token))
+                ):
+                    raise ValueError(
+                        f"expected {order - 1} context token(s), a token and a count >= 1, "
+                        "tab-separated, no whitespace within a token, each n-gram once"
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            by_token[token] = count
+            totals[context] = totals.get(context, 0) + count
             vocab.add(token)
-    return NGramModel(order, alpha, counts, totals, frozenset(vocab))
+    return _model(order, alpha, counts, totals, vocab)
 
 
 def rescore_set(cset: CandidateSet, scorer: Scorer) -> CandidateSet:

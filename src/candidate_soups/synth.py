@@ -147,11 +147,7 @@ def generate_corpus(
     (in first-appearance order, so generation stays deterministic).
     """
     if vocab is None:
-        seen: dict[str, None] = {}
-        for ref in references:
-            for tok in ref:
-                seen.setdefault(tok)
-        vocab = tuple(seen)
+        vocab = tuple(dict.fromkeys(tok for ref in references for tok in ref))
     return [
         generate_candidates(ref, k, config, vocab, ident=str(i), score_floor=score_floor)
         for i, ref in enumerate(references)

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli
 from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
+from candidate_soups.errors import ScorerFailure
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
@@ -32,10 +34,18 @@ def run(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(argv, stdin_bytes):
-    """Run ``python -m candidate_soups`` in a child process with piped stdin."""
+def run_module(argv, stdin_bytes, **env_changes):
+    """Run ``python -m candidate_soups`` in a child process with piped stdin.
+
+    Each keyword sets that environment variable, or unsets it when None.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, "-m", "candidate_soups", *argv],
         input=stdin_bytes,
@@ -483,7 +493,7 @@ class TestCompareScoresEachCandidateOnce:
         assert code == 0
 
         class FreshScorer(Scorer):
-            def __init__(self, model, score_floor):
+            def __init__(self, model, score_floor=DEFAULT_SCORE_FLOOR):
                 self.model, self.score_floor = model, score_floor
 
             def rescore(self, source, candidate):
@@ -648,27 +658,6 @@ def test_clamp_warning_emitted_as_json_diagnostic():
     assert diagnostic["line"] == 1
 
 
-def test_score_floor_env_override(monkeypatch):
-    # both middle scores clamp to -30 under the default floor (a tie that
-    # candidate 0 wins); a floor of -50 keeps them apart and flips the choice
-    line = json.dumps(
-        {
-            "id": "f",
-            "candidates": [
-                {"tokens": ["a", "x", "b"], "scores": [-0.1, -45.0, -0.1]},
-                {"tokens": ["a", "y", "b"], "scores": [-0.1, -31.0, -0.1]},
-            ],
-        }
-    )
-    code, out, _ = run(["fuse"], line)
-    assert code == 0
-    assert json.loads(out)["output"] == ["a", "x", "b"]
-    monkeypatch.setenv("CDS_SCORE_FLOOR", "-50.0")
-    code, out, _ = run(["fuse"], line)
-    assert code == 0
-    assert json.loads(out)["output"] == ["a", "y", "b"]
-
-
 class _UnreadableInput(io.StringIO):
     def __iter__(self):
         raise AssertionError("input was read")
@@ -680,19 +669,6 @@ class _UnreadableInput(io.StringIO):
         raise AssertionError("input was read")
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "NaN", "inf", "-inf", "3", "1e-9", "-1e999"])
-@pytest.mark.parametrize("command", [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]])
-def test_bad_score_floor_is_usage_error(monkeypatch, value, command):
-    monkeypatch.setenv("CDS_SCORE_FLOOR", value)
-    out, err = io.StringIO(), io.StringIO()
-    code = main(command, stdin=_UnreadableInput(), stdout=out, stderr=err)
-    assert code == 2
-    assert out.getvalue() == ""
-    (line,) = err.getvalue().splitlines()
-    diagnostic = json.loads(line)
-    assert "CDS_SCORE_FLOOR" in diagnostic["error"] and repr(value) in diagnostic["error"]
-
-
 BAD_MODELS = {
     "garbage.ngram": "not a model\n",
     # headers that used to load: a NaN alpha scored every token at the floor
@@ -700,6 +676,21 @@ BAD_MODELS = {
     "inf.ngram": "ngram 3 inf\n",
     "negative.ngram": "ngram 3 -1\n",
     "order0.ngram": "ngram 0 0.1\n",
+    # count lines that used to load: a count below 1 made a log of a negative
+    # number ("math domain error") end the stream at its first record
+    "negative-count.ngram": "ngram 2 0.1\n<s>\ta\t-1\na\tb\t1\n",
+    "zero-count.ngram": "ngram 2 0.1\n<s>\ta\t0\n",
+    "fractional-count.ngram": "ngram 2 0.1\n<s>\ta\t1.5\n",
+    "long-context.ngram": "ngram 2 0.1\n<s> x\ta\t1\n",
+    "short-context.ngram": "ngram 3 0.1\n<s>\ta\t1\n",
+    "two-fields.ngram": "ngram 2 0.1\n<s>\ta\n",
+    "four-fields.ngram": "ngram 2 0.1\n<s>\ta\t1\t1\n",
+    "whitespace-token.ngram": "ngram 1 0.1\n\ta\x0bb\t1\n",
+    "empty-context-token.ngram": "ngram 3 0.1\n<s> \ta\t1\n",
+    "repeated-ngram.ngram": "ngram 2 0.1\n<s>\ta\t1\n<s>\ta\t2\n",
+    # counts so large against alpha that a probability is 0, or beyond float range
+    "underflow.ngram": "ngram 1 1e-300\n\ta\t" + "9" * 300 + "\n",
+    "overflow.ngram": "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n",
 }
 
 
@@ -734,6 +725,11 @@ BAD_MODELS = {
         ([*argv, "--scorer", f"ngram:{model}"], "--scorer")
         for model in ["missing.ngram", *BAD_MODELS]
         for argv in [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]]
+    ]
+    + [
+        # B has a bound: a huge one set up two accumulators per k before any input was read
+        (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
+        for value in ["1..1001", "5..100000000000000000000"]
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -752,28 +748,25 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
 
 
 @pytest.mark.parametrize(
-    "argv, score_floor, named",
+    "argv, named",
     [
-        (["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], None, "--smooth"),
-        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], None, "--order"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
-        (["synth", "r.txt", "--k", "0"], None, "--k"),
-        (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
-        (["synth", "r.txt"], "abc", "CDS_SCORE_FLOOR"),
+        (["bleu", "h.txt", "r.txt", "--max-n", "0"], "--max-n"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], "--smooth"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], "--smooth"),
+        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], "--order"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], "--alpha"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], "--alpha"),
+        (["synth", "r.txt", "--k", "0"], "--k"),
+        (["synth", "r.txt", "--substitution-rate", "2"], "substitution_rate"),
         # non-finite noise settings used to pass and write floor scores
-        (["synth", "r.txt", "--correct-score-mean", "nan"], None, "correct_score_mean"),
-        (["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
+        (["synth", "r.txt", "--correct-score-mean", "nan"], "correct_score_mean"),
+        (["synth", "r.txt", "--error-score-std", "inf"], "error_score_std"),
     ],
 )
-def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):
+def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, named):
     # each used to exit 1 with a line-0 diagnostic, some after reading input;
     # the input files named here do not exist, so reading one would fail
     monkeypatch.chdir(tmp_path)
-    if score_floor is not None:
-        monkeypatch.setenv("CDS_SCORE_FLOOR", score_floor)
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
@@ -783,45 +776,41 @@ def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_f
     assert diagnostic["line"] == 0 and named in diagnostic["error"]
 
 
-def test_nan_score_floor_no_longer_leaks_infinity_into_trace(monkeypatch):
-    # a NaN floor clamped nothing, so a -inf score reached the trace as -Infinity
-    line = json.dumps(
-        {
-            "id": "n",
-            "candidates": [
-                {"tokens": ["a", "x", "b"], "scores": [-0.1, float("-inf"), -0.1]},
-                {"tokens": ["a", "y", "b"], "scores": [-0.1, -1.0, -0.1]},
-            ],
-        }
-    )
-    monkeypatch.setenv("CDS_SCORE_FLOOR", "nan")
-    code, out, _ = run(["fuse", "--trace"], line)
-    assert code == 2
-    assert "Infinity" not in out and "NaN" not in out
+def test_sweep_k_bound_is_inclusive():
+    assert cli._k_range(f"1..{cli.MAX_SWEEP_K}") == range(1, cli.MAX_SWEEP_K + 1)
 
 
-def test_positive_score_floor_no_longer_fails_every_record(monkeypatch):
-    # a floor of 3 raised "score ... must be <= 0" once per record
-    monkeypatch.setenv("CDS_SCORE_FLOOR", "3")
-    code, out, err = run(["fuse"], cross_error_line("r1") + "\n" + cross_error_line("r2"))
-    assert code == 2
-    assert out == ""
-    (line,) = err.splitlines()
-    assert json.loads(line)["line"] == 0
+class _RaisingScorer(Scorer):
+    """Fails the candidate sets that hold token ``x`` with ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def rescore(self, source, candidate):
+        if "x" in candidate.tokens:
+            raise self.error
+        return candidate.scores
 
 
-def test_non_numeric_score_floor_exits_2_not_1(monkeypatch):
-    monkeypatch.setenv("CDS_SCORE_FLOOR", "abc")
-    code, _, _ = run(["fuse"], cross_error_line())
-    assert code == 2
+def _x_then_plain_records():
+    return "".join(record_line(tokens, [-0.1, -0.1]) + "\n" for tokens in (["a", "x"], ["a", "b"]))
 
 
-@pytest.mark.parametrize("value", ["0", "-0", "-30", "-1e300", ""])
-def test_valid_score_floor_values_are_accepted(monkeypatch, value):
-    monkeypatch.setenv("CDS_SCORE_FLOOR", value)
-    code, out, _ = run(["fuse"], cross_error_line())
-    assert code == 0
-    assert json.loads(out)["id"] == "pair-1"
+@pytest.mark.parametrize("command", ["fuse", "npd"])
+def test_scorer_cds_error_fails_only_its_line(monkeypatch, command):
+    monkeypatch.setattr(cli, "_make_scorer", lambda _: _RaisingScorer(ScorerFailure("no x")))
+    code, out, err = run([command], _x_then_plain_records())
+    assert code == 1
+    assert [json.loads(text) for text in err.splitlines()] == [{"line": 1, "error": "no x"}]
+    assert [json.loads(text)["output"] for text in out.splitlines()] == [["a", "b"]]
+
+
+@pytest.mark.parametrize("command", ["fuse", "npd"])
+def test_scorer_fault_propagates_unchanged(monkeypatch, command):
+    # any exception other than a CdsError is a fault in the scorer, not in the line
+    monkeypatch.setattr(cli, "_make_scorer", lambda _: _RaisingScorer(KeyError("bug")))
+    with pytest.raises(KeyError, match="bug"):
+        run([command], _x_then_plain_records())
 
 
 def test_output_is_strict_json():
@@ -975,6 +964,98 @@ def test_unicode_line_breaks_are_escaped(command, char):
     assert char not in out and "\u00e9" in out  # other non-ASCII stays raw
     (record,) = [json.loads(text) for text in out.splitlines()]
     assert record["id"] == ident
+
+
+# --- a run depends only on its arguments and input bytes ---------------------
+
+UNICODE_RECORDS = [
+    {
+        "id": "ząb",
+        "source": "zażółć gęślą",
+        "candidates": [
+            {"tokens": ["ą", "日", "b"], "scores": [-0.1, -0.2, -0.3]},
+            {"tokens": ["ą", "本", "b"], "scores": [-0.1, -1.5, -0.3]},
+        ],
+    },
+    # both middle scores are below the -30.0 floor: clamped, they tie and candidate 0 wins
+    {
+        "id": "floor",
+        "candidates": [
+            {"tokens": ["a", "x", "b"], "scores": [-0.1, -45.0, -0.1]},
+            {"tokens": ["a", "y", "b"], "scores": [-0.1, -31.0, -0.1]},
+        ],
+    },
+]
+UNICODE_REFS = "ą 日 b\na x b\n"
+# a token with a space in it fails its line, and the diagnostic quotes the token
+UNICODE_BAD_LINE = '{"id": "zły", "candidates": [{"tokens": ["ą b"], "scores": [-0.1]}]}\n'
+# the exit code of each command of ``unicode_commands``
+UNICODE_EXITS = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def unicode_commands(tmp_path):
+    """(argv, stdin text) of every command over non-ASCII input, read from files and from -."""
+    records = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in UNICODE_RECORDS)
+    files = {
+        "records.jsonl": records,
+        "bad.jsonl": records + UNICODE_BAD_LINE,
+        "refs.txt": UNICODE_REFS,
+        "hyps.txt": "ą 日 b\na y b\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = {name: str(tmp_path / name) for name in files}
+    model, trained = str(tmp_path / "lm.ngram"), str(tmp_path / "out.ngram")
+    assert run(["ngram-train", path["refs.txt"], "-o", model, "--order", "2"])[0] == 0
+    return [
+        (["fuse", path["bad.jsonl"], "--trace"], ""),
+        (["fuse", "-", "--scorer", f"ngram:{model}"], records + UNICODE_BAD_LINE),
+        (["npd", path["bad.jsonl"]], ""),
+        (["npd", "-"], records),
+        (["compare", path["records.jsonl"], "--refs", path["refs.txt"], "--sweep-k", "1..3",
+          "--json"], ""),
+        (["compare", "-", "--refs", path["refs.txt"]], records),
+        (["synth", path["refs.txt"], "--k", "3", "--seed", "5"], ""),
+        (["bleu", path["hyps.txt"], path["refs.txt"]], ""),
+        (["ngram-train", path["refs.txt"], "-o", trained], ""),
+        (["ngram-train", "-", "-o", trained, "--order", "2"], UNICODE_REFS),
+    ]
+
+
+_FUSION_TIME = re.compile(r'("mean_fusion_ms": |mean_fusion_ms\t)[-+.e0-9]+')
+
+
+def outcome(argv, code, out, err):
+    """What a run leaves: exit code, stdout without compare's timing, stderr, model written."""
+    model = Path(argv[argv.index("-o") + 1]).read_bytes() if "-o" in argv else None
+    return code, _FUSION_TIME.sub(r"\1<time>", out), err, model
+
+
+@pytest.mark.parametrize("value", ["-50", "nan", "abc"])
+def test_score_floor_env_changes_no_output_byte(tmp_path, monkeypatch, value):
+    # CDS_SCORE_FLOOR=-50 used to keep -45 and -31 apart and fuse "floor" to a y b;
+    # nan and abc used to be usage errors
+    commands = unicode_commands(tmp_path)
+    want = [outcome(argv, *run(argv, stdin)) for argv, stdin in commands]
+    assert [code for code, *_ in want] == UNICODE_EXITS
+    assert '"output": ["a", "x", "b"]' in want[0][1]
+    monkeypatch.setenv("CDS_SCORE_FLOOR", value)
+    assert [outcome(argv, *run(argv, stdin)) for argv, stdin in commands] == want
+
+
+def test_stdio_is_utf8_whatever_the_locale(tmp_path):
+    # under PYTHONIOENCODING=latin-1, writing "日" used to end the run at line 0,
+    # and "ą" read from - decoded to "Ä\x85", a token with whitespace in it
+    codes = []
+    for argv, stdin in unicode_commands(tmp_path):
+        runs = []
+        for encoding in (None, "latin-1"):
+            proc = run_module(argv, stdin.encode("utf-8"), PYTHONIOENCODING=encoding)
+            out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+            runs.append(outcome(argv, proc.returncode, out, err))
+        assert runs[1] == runs[0], argv
+        codes.append(proc.returncode)
+    assert codes == UNICODE_EXITS
 
 
 def _reject_constant(name):

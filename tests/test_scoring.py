@@ -1,19 +1,24 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from candidate_soups import (
     CandidateSet,
     NGramScorer,
     ScoredCandidate,
+    Scorer,
     SelfScorer,
     load_ngram,
     npd_select,
     train_ngram,
 )
 from candidate_soups.candidates import remove_adjacent_duplicates
-from candidate_soups.errors import EmptyCorpus
+from candidate_soups.errors import EmptyCorpus, ScorerFailure
+from candidate_soups.fusion import candidate_soups
 from candidate_soups.scoring import (
     END_SYMBOL,
     NGRAM_MEMO_SIZE,
@@ -156,6 +161,116 @@ class TestPersistence:
             with pytest.raises(ValueError, match="order|smoothing"):
                 load_ngram(str(path))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # the count -1 used to load, and scoring hit log of a negative number
+            ("ngram 2 0.1\n<s>\ta\t-1\na\tb\t1\n", 2),
+            ("ngram 2 0.1\n<s>\ta\t1\na\tb\t0\n", 3),
+            ("ngram 2 0.1\n<s>\ta\t1\n\na\tb\t1.0\n", 4),
+            # a context of 3 tokens used to load into an order-2 model
+            ("ngram 2 0.1\n<s> a b\tc\t1\n", 2),
+            ("ngram 2 0.1\n\ta\t1\n", 2),
+            ("ngram 1 0.1\na\t1\n", 2),
+            ("ngram 1 0.1\n\ta\t1\t2\n", 2),
+            ("ngram 1 0.1\n\ta b\t1\n", 2),
+            ("ngram 1 0.1\n\ta\u2028\t1\n", 2),
+            ("ngram 3 0.1\n<s>  \ta\t1\n", 2),
+            ("ngram 2 0.1\n<s>\ta\t1\na\tb\t1\n<s>\ta\t1\n", 4),
+        ],
+    )
+    def test_bad_count_line_is_named(self, tmp_path, text, line):
+        path = tmp_path / "bad.ngram"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
+            load_ngram(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ngram 1 1e-300\n\ta\t" + "9" * 300 + "\n",  # a probability underflows to 0
+            "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n",  # a total beyond the float range
+            "ngram 2 5e-324\n<s>\ta\t1\n<s>\tb\t1\n",
+        ],
+    )
+    def test_counts_too_large_for_alpha_are_rejected(self, tmp_path, text):
+        path = tmp_path / "big.ngram"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="too large"):
+            load_ngram(str(path))
+
+    def test_training_rejects_a_model_it_could_not_load(self):
+        with pytest.raises(ValueError, match="too large"):
+            train_ngram([["a", "b"]], n=1, alpha=5e-324)
+
+
+MODEL_TOKENS = ["a", "b", "ą", "日", START_SYMBOL, END_SYMBOL]
+# mostly tokens that validate accepts
+ANY_TOKEN = st.sampled_from([*MODEL_TOKENS * 4, "", "a b", "a\x0bb", "\x85"])
+COUNT_TEXT = st.one_of(
+    st.integers(min_value=-2, max_value=5).map(str),
+    st.integers(min_value=1, max_value=10**400).map(str),
+    st.sampled_from(["9" * 300, "9" * 400, "1.5", "", "x", "01", "+1", " 1", "\u0661"]),
+)
+ALPHA_TEXT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr) | (
+    st.sampled_from(["nan", "inf", "0", "-1", "5e-324", "1e308"])
+)
+
+
+@st.composite
+def model_texts(draw):
+    """Model files that are mostly well formed, with some fields that are not."""
+    order = draw(st.integers(min_value=1, max_value=3))
+    lines = [f"ngram {order} {draw(ALPHA_TEXT)}"]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        width = draw(st.sampled_from([order - 1] * 4 + [0, 1, 2, 3]))
+        context = draw(st.lists(ANY_TOKEN, min_size=width, max_size=width))
+        fields = [" ".join(context), draw(ANY_TOKEN), draw(COUNT_TEXT)]
+        arity = draw(st.sampled_from([3] * 6 + [2, 4]))
+        lines.append("\t".join((fields + ["1"])[:arity]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "model.ngram"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=model_texts())
+@example(text="ngram 1 0.1\n\ta\t" + "9" * 400 + "\n")
+@example(text="ngram 2 1e-300\n<s>\ta\t" + "9" * 300 + "\n")
+@example(text="ngram 2 1e308\n<s>\ta\t1\na\tb\t1\n")
+def test_every_model_that_loads_scores_finite_and_nonpositive(model_path, text):
+    model_path.write_bytes(text.encode("utf-8"))
+    try:
+        model = load_ngram(str(model_path))
+    except ValueError:
+        return
+    # every seen context, then every known token and an unknown one after it;
+    # no floor, so a NaN or an infinite score would show
+    for context in [*model.counts, ()]:
+        for token in [*model.vocabulary, "<unseen>"]:
+            scores = ngram_score(model, (*context, token), score_floor=-math.inf)
+            assert all(-math.inf < score <= 0 for score in scores), (context, token)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(MODEL_TOKENS), max_size=6), min_size=1, max_size=5),
+    order=st.integers(min_value=1, max_value=4),
+    alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_save_load_save_is_byte_identical(model_path, corpus, order, alpha):
+    try:
+        model = train_ngram(corpus, n=order, alpha=alpha)
+    except ValueError:
+        return  # nothing is saved: alpha is too small for the counts
+    save_ngram(model, str(model_path))
+    written = model_path.read_bytes()
+    save_ngram(load_ngram(str(model_path)), str(model_path))
+    assert model_path.read_bytes() == written
+
 
 def two_candidate_set(mean_a, mean_b):
     return CandidateSet(
@@ -209,6 +324,24 @@ class TestNpdSelect:
                 ),
             )
             assert npd_select(cset)[0] == npd_select(shifted)[0]
+
+
+class _FaultyScorer(Scorer):
+    def __init__(self, error):
+        self.error = error
+
+    def rescore(self, source, candidate):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [KeyError("bug"), ScorerFailure("no scores")])
+def test_scorer_exceptions_propagate_unchanged(error):
+    # a CdsError fails one set; any other exception is a fault in the scorer
+    cset = cross_error_set()
+    for call in (rescore_set, npd_select, candidate_soups):
+        with pytest.raises(type(error)) as raised:
+            call(cset, _FaultyScorer(error))
+        assert raised.value is error
 
 
 def test_scorer_determinism():
