@@ -748,25 +748,29 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, score_floor, named",
     [
-        (["bleu", "h.txt", "r.txt", "--max-n", "0"], "--max-n"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], "--smooth"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], "--smooth"),
-        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], "--order"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], "--alpha"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], "--alpha"),
-        (["synth", "r.txt", "--k", "0"], "--k"),
-        (["synth", "r.txt", "--substitution-rate", "2"], "substitution_rate"),
+        (["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
+        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], None, "--smooth"),
+        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], None, "--order"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
+        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
+        (["synth", "r.txt", "--k", "0"], None, "--k"),
+        (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
+        # CDS_SCORE_FLOOR is no longer read: a bad value is not a diagnostic
+        (["synth", "r.txt", "--k", "0"], "abc", "--k"),
         # non-finite noise settings used to pass and write floor scores
-        (["synth", "r.txt", "--correct-score-mean", "nan"], "correct_score_mean"),
-        (["synth", "r.txt", "--error-score-std", "inf"], "error_score_std"),
+        (["synth", "r.txt", "--correct-score-mean", "nan"], None, "correct_score_mean"),
+        (["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
     ],
 )
-def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, named):
+def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):
     # each used to exit 1 with a line-0 diagnostic, some after reading input;
     # the input files named here do not exist, so reading one would fail
     monkeypatch.chdir(tmp_path)
+    if score_floor is not None:
+        monkeypatch.setenv("CDS_SCORE_FLOOR", score_floor)
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
