@@ -42,6 +42,8 @@ class BleuReport(
 
 
 def _ngram_counts(tokens: TokenSeq, n: int) -> Counter:
+    if n > len(tokens):
+        return Counter()  # no n-gram fits; skips building n slices for nothing
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
@@ -155,9 +157,21 @@ class BleuAccumulator:
         return BleuReport(score, tuple(precisions), bp, self.hyp_length, self.ref_length)
 
 
-def _accumulate(
-    hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq], max_n: int
-) -> BleuAccumulator:
+def corpus_bleu(
+    hypotheses: Sequence[TokenSeq],
+    references: Sequence[TokenSeq],
+    max_n: int = 4,
+    epsilon: float | None = None,
+) -> BleuReport:
+    """Corpus BLEU; without ``epsilon``, any precision of zero yields a score of zero.
+
+    With ``epsilon``, a finite number > 0, a zero numerator counts as
+    ``epsilon`` instead.  The score is then identical whenever every
+    precision is positive; meant for sentence-level diagnostics where zero
+    counts are routine.
+    """
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     if len(hypotheses) != len(references):
         raise LengthMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
@@ -167,29 +181,4 @@ def _accumulate(
     acc = BleuAccumulator(max_n)
     for hyp, ref in zip(hypotheses, references):
         acc.add(hyp, ref)
-    return acc
-
-
-def corpus_bleu(
-    hypotheses: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    max_n: int = 4,
-) -> BleuReport:
-    """Corpus BLEU; any precision of zero yields a score of zero."""
-    return _accumulate(hypotheses, references, max_n).report()
-
-
-def bleu_with_smoothing(
-    hypotheses: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    max_n: int = 4,
-    epsilon: float = 0.1,
-) -> BleuReport:
-    """Corpus BLEU with zero numerators replaced by ``epsilon``.
-
-    Identical to ``corpus_bleu`` whenever every precision is positive; meant
-    for sentence-level diagnostics where zero counts are routine.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return _accumulate(hypotheses, references, max_n).report(smoothing_epsilon=epsilon)
+    return acc.report(smoothing_epsilon=epsilon)

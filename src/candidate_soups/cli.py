@@ -10,9 +10,9 @@ that need a whole input (compare, bleu, ngram-train) stop at the first bad
 line with one such diagnostic (``_Stop``).  The process exits 0 on success,
 1 when any line failed, 2 on usage errors.  A usage error is reported as one
 line-0 diagnostic before any input is read: an argument that argparse or its
-type (``_positive_int``, ``_positive_float``, ``_k_range``) rejects, a
-``synth`` noise flag that ``NoiseConfig`` rejects, or a ``--scorer`` that is
-unknown or names a model that ``load_ngram`` rejects.
+type (``_positive_int``, ``_positive_float``, ``_order``, ``_k_range``)
+rejects, a ``synth`` noise flag that ``NoiseConfig`` rejects, or a
+``--scorer`` that is unknown or names a model that ``load_ngram`` rejects.
 
 Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
@@ -44,6 +44,7 @@ from .candidates import (
 from .errors import CdsError, EmptyReference
 from .fusion import FusionResult, candidate_soups
 from .scoring import (
+    MAX_ORDER,
     NGramScorer,
     Scorer,
     SelfScorer,
@@ -122,6 +123,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _order(text: str) -> int:
+    """An argparse type: an n-gram order, an integer in 1..MAX_ORDER."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_ORDER}, got {text!r}")
+    return value
+
+
 # ``compare`` sets up two BLEU accumulators per swept count before it reads
 # any input, and fuses every record once per count: B bounds memory and time.
 MAX_SWEEP_K = 1000
@@ -142,15 +154,14 @@ def _k_range(text: str) -> range:
 _NUMBER_TYPES = {int, float}  # exact types: bool is an int subclass, not a score
 
 
-def parse_candidate_record(
-    obj: dict, score_floor: float, warn: Callable[[str], object] | None = None
-) -> CandidateSet:
+def parse_candidate_record(obj: dict, warn: Callable[[str], object] | None = None) -> CandidateSet:
     """Turn one wire-format record into a validated CandidateSet.
 
     ``id`` is a string, ``source`` a string, null or absent, ``candidates`` a
     list of objects whose ``tokens`` is a list and ``scores`` a list of
     numbers (not booleans or strings).  Token values are checked by
-    ``validate``, which reports clamped scores to ``warn``.
+    ``validate``, which clamps scores to ``DEFAULT_SCORE_FLOOR`` and reports
+    each clamp to ``warn``.
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -180,7 +191,7 @@ def parse_candidate_record(
             raise ValueError(f"set {ident!r} candidate {idx}: 'scores' must be a list of numbers")
         candidates.append(ScoredCandidate(tuple(tokens), tuple(scores)))
     source = tuple(source_text.split()) if source_text is not None else None
-    return validate(CandidateSet(ident, tuple(candidates), source), score_floor, warn)
+    return validate(CandidateSet(ident, tuple(candidates), source), DEFAULT_SCORE_FLOOR, warn)
 
 
 def candidate_record(cset: CandidateSet) -> dict:
@@ -276,7 +287,7 @@ def _iter_records(
             line = line.strip()
             if not line:
                 continue
-            cset = parse_candidate_record(json.loads(line), DEFAULT_SCORE_FLOOR, warn)
+            cset = parse_candidate_record(json.loads(line), warn)
         except (CdsError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             # OverflowError: an int score beyond float range;
             # RecursionError: nesting too deep for the json decoder
@@ -335,7 +346,7 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     from dataclasses import fields
 
-    from .synth import NoiseConfig, generate_candidates
+    from .synth import NoiseConfig, Vocabulary, generate_candidates
 
     flags = {field.name: getattr(args, field.name) for field in fields(NoiseConfig)}
     try:
@@ -348,7 +359,7 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
     with _input_lines(args.refs) as refs:
         lines = list(refs)
     texts = [line for _, line in lines if line is not None]  # None lines are reported below
-    vocab = tuple(dict.fromkeys(tok for text in texts for tok in text.split()))
+    vocab = Vocabulary(tok for text in texts for tok in text.split())  # prepared once
     failed = False
     for line_no, line in lines:
         if line is None:
@@ -391,6 +402,8 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
                 output = json.loads(line)["output"]
             except json.JSONDecodeError as exc:
                 raise _Stop(line_no, f"{path}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # an integer with more digits than int() converts
+                raise _Stop(line_no, f"{path}: invalid JSON: {exc}") from None
             except (KeyError, TypeError, RecursionError):
                 raise _Stop(line_no, f"{path}: record must be an object with 'output'") from None
             if not isinstance(output, list) or not set(map(type, output)) <= {str}:
@@ -400,7 +413,7 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
 
 
 def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    from .bleu import bleu_with_smoothing, corpus_bleu
+    from .bleu import corpus_bleu
 
     hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
     refs = _read_token_lines(args.ref)
@@ -408,11 +421,7 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
         for line_no, ref in enumerate(refs, start=1):
             if not ref:
                 raise _Stop(line_no, f"{args.ref}: reference sentence is empty")
-    if args.smooth is not None:
-        report = bleu_with_smoothing(hyps, refs, max_n=args.max_n, epsilon=args.smooth)
-    else:
-        report = corpus_bleu(hyps, refs, max_n=args.max_n)
-    _dump(report.to_json(), stdout)
+    _dump(corpus_bleu(hyps, refs, max_n=args.max_n, epsilon=args.smooth).to_json(), stdout)
     return 0
 
 
@@ -562,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read hypotheses from fusion records' 'output' fields",
     )
     bleu.add_argument("--smooth", type=_positive_float, default=None, metavar="EPS")
-    bleu.add_argument("--max-n", type=_positive_int, default=4)
+    bleu.add_argument("--max-n", type=_order, default=4)
     bleu.set_defaults(handler=cmd_bleu)
 
     compare = sub.add_parser(
@@ -584,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("ngram-train", help="train and persist an n-gram scorer model")
     train.add_argument("corpus", help="tokenized text, one sentence per line ('-' for stdin)")
     train.add_argument("-o", "--output", required=True)
-    train.add_argument("--order", type=_positive_int, default=3)
+    train.add_argument("--order", type=_order, default=3)
     train.add_argument("--alpha", type=_positive_float, default=0.1)
     train.set_defaults(handler=cmd_ngram_train)
 

@@ -15,7 +15,6 @@ bug on either side shows up as a mismatch.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from operator import attrgetter
 from typing import Union
 
@@ -92,18 +91,6 @@ def path_count(lattice: SimplifiedLattice) -> int:
     )
 
 
-def _assemble(lattice: SimplifiedLattice, segments: Sequence[Sequence[str]]) -> tuple[str, ...]:
-    out: list[str] = []
-    region = 0
-    for element in lattice.elements:
-        if isinstance(element, AnchorNode):
-            out.append(element.token)
-        else:
-            out.extend(segments[region])
-            region += 1
-    return tuple(out)
-
-
 def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:
     """The path maximizing the sum of branch scores, found region by region.
 
@@ -112,6 +99,10 @@ def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:
     fusion's tie rule and the lexicographically first optimal path.
     """
     best = attrgetter("score")
-    return _assemble(
-        lattice, tuple(max(group.branches, key=best).tokens for group in lattice.region_groups())
-    )
+    out: list[str] = []
+    for element in lattice.elements:
+        if isinstance(element, AnchorNode):
+            out.append(element.token)
+        else:
+            out.extend(max(element.branches, key=best).tokens)
+    return tuple(out)

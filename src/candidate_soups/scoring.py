@@ -39,6 +39,11 @@ END_SYMBOL = "</s>"
 # input never measure memo hits.
 NGRAM_MEMO_SIZE = 64
 
+# The highest n-gram order a model, ``ngram-train --order`` or ``bleu --max-n``
+# takes.  Scoring builds order - 1 shifted slices per candidate and BLEU one
+# count per order, so the cost of an order grows with its square.
+MAX_ORDER = 32
+
 _new = tuple.__new__  # builds a record from fields that are already tuples
 
 
@@ -98,9 +103,9 @@ class NGramModel(record("NGramModel", "order alpha counts context_totals vocabul
 
 
 def _check_settings(order: int, alpha: float) -> None:
-    """The settings every model holds: an integer order >= 1 and a finite alpha > 0."""
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"n-gram order must be an integer >= 1, got {order!r}")
+    """The settings every model holds: an integer order in 1..MAX_ORDER and a finite alpha > 0."""
+    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"n-gram order must be an integer in 1..{MAX_ORDER}, got {order!r}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"smoothing constant must be a finite number > 0, got {alpha!r}")
 

@@ -7,14 +7,15 @@ correct-score mean and corrupted tokens near the (much lower) error-score
 mean, encoding a model that is less confident where it errs.  Generation is
 fully deterministic: candidate i of sentence s uses an RNG stream derived
 from (seed, s, i), so regenerating with a different candidate count leaves
-the shared prefix of candidates unchanged.
+the shared prefix of candidates unchanged.  Scores are clamped to
+[``DEFAULT_SCORE_FLOOR``, 0], the range the CLI reads without a warning.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate
@@ -48,23 +49,32 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be a finite number >= 0, got {std}")
 
 
-def _clamp(score: float, floor: float) -> float:
-    return min(0.0, max(floor, score))
+class Vocabulary(tuple):
+    """Distinct tokens in first-appearance order; ``positions`` maps each to its index.
+
+    ``generate_candidates`` builds one from any other token sequence on every
+    call; build one first to prepare a vocabulary once for many calls.
+    """
+
+    def __new__(cls, tokens: Iterable[str]) -> Vocabulary:
+        positions = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+        self = super().__new__(cls, positions)
+        self.positions = positions
+        return self
+
+
+def _clamp(score: float) -> float:
+    return min(0.0, max(DEFAULT_SCORE_FLOOR, score))
 
 
 def _corrupt(
-    reference: Sequence[str],
-    rng: random.Random,
-    config: NoiseConfig,
-    vocab: tuple[str, ...],
-    vocab_index: dict[str, int],
-    floor: float,
+    reference: Sequence[str], rng: random.Random, config: NoiseConfig, vocab: Vocabulary
 ) -> ScoredCandidate:
     def correct() -> float:
-        return _clamp(rng.gauss(config.correct_score_mean, config.correct_score_std), floor)
+        return _clamp(rng.gauss(config.correct_score_mean, config.correct_score_std))
 
     def error() -> float:
-        return _clamp(rng.gauss(config.error_score_mean, config.error_score_std), floor)
+        return _clamp(rng.gauss(config.error_score_mean, config.error_score_std))
 
     tokens: list[str] = []
     scores: list[float] = []
@@ -77,7 +87,7 @@ def _corrupt(
         substituted = rng.random() < config.substitution_rate
         if substituted:
             # draw from the vocabulary excluding the reference token itself
-            pos = vocab_index.get(tok, -1)
+            pos = vocab.positions.get(tok, -1)
             if pos >= 0 and len(vocab) > 1:
                 idx = rng.randrange(len(vocab) - 1)
                 if idx >= pos:
@@ -106,11 +116,11 @@ def generate_candidates(
     config: NoiseConfig,
     vocab: Sequence[str],
     ident: str = "0",
-    score_floor: float = DEFAULT_SCORE_FLOOR,
 ) -> CandidateSet:
     """Generate k independent corruptions of one reference sentence.
 
-    Raises EmptyReference when the reference has no tokens.
+    Raises EmptyReference when the reference has no tokens, then ValueError
+    when k < 1 or the vocabulary is empty.
     """
     if not reference:
         raise EmptyReference(f"reference {ident!r} is empty")
@@ -118,17 +128,10 @@ def generate_candidates(
         raise ValueError(f"candidate count must be >= 1, got {k}")
     if not vocab:
         raise ValueError("vocabulary is empty")
-    vocab_tuple = tuple(dict.fromkeys(vocab))
-    vocab_index = {tok: i for i, tok in enumerate(vocab_tuple)}
+    if not isinstance(vocab, Vocabulary):
+        vocab = Vocabulary(vocab)
     candidates = tuple(
-        _corrupt(
-            reference,
-            random.Random(f"{config.rng_seed}:{ident}:{i}"),
-            config,
-            vocab_tuple,
-            vocab_index,
-            score_floor,
-        )
+        _corrupt(reference, random.Random(f"{config.rng_seed}:{ident}:{i}"), config, vocab)
         for i in range(k)
     )
     return CandidateSet(ident, candidates)
@@ -139,16 +142,15 @@ def generate_corpus(
     k: int,
     config: NoiseConfig,
     vocab: Sequence[str] | None = None,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
 ) -> list[CandidateSet]:
     """Generate one candidate set per reference; ids are the 0-based indices.
 
     When no vocabulary is given, the union of all reference tokens is used
-    (in first-appearance order, so generation stays deterministic).
+    (in first-appearance order, so generation stays deterministic).  The
+    vocabulary is prepared once for the whole corpus.
     """
-    if vocab is None:
-        vocab = tuple(dict.fromkeys(tok for ref in references for tok in ref))
+    vocab = Vocabulary(vocab if vocab is not None else (tok for ref in references for tok in ref))
     return [
-        generate_candidates(ref, k, config, vocab, ident=str(i), score_floor=score_floor)
+        generate_candidates(ref, k, config, vocab, ident=str(i))
         for i, ref in enumerate(references)
     ]

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from candidate_soups import BleuAccumulator, Reference, corpus_bleu
-from candidate_soups.bleu import bleu_with_smoothing
 from candidate_soups.errors import EmptyInput, LengthMismatch
 from helpers import random_references, word_vocab
 
@@ -69,7 +68,7 @@ def test_smoothing_inactive_when_all_precisions_positive():
     hyps = [["a", "b", "c", "d", "e"]]
     refs = [["a", "b", "c", "d", "x"]]
     plain = corpus_bleu(hyps, refs)
-    smoothed = bleu_with_smoothing(hyps, refs, epsilon=0.1)
+    smoothed = corpus_bleu(hyps, refs, epsilon=0.1)
     assert all(p > 0 for p in plain.ngram_precisions)
     assert abs(plain.bleu - smoothed.bleu) < 1e-12
 
@@ -78,18 +77,25 @@ def test_smoothing_rescues_short_sentence():
     hyps = [["a", "b", "c", "x", "y"]]
     refs = [["a", "b", "c", "d", "e"]]
     assert corpus_bleu(hyps, refs).bleu == 0.0
-    assert bleu_with_smoothing(hyps, refs).bleu > 0.0
+    assert corpus_bleu(hyps, refs, epsilon=0.1).bleu > 0.0
 
 
 def test_smoothed_score_monotone_in_epsilon():
     hyps = [["a", "b", "q", "r"]]
     refs = [["a", "b", "c", "d"]]
     scores = [
-        bleu_with_smoothing(hyps, refs, epsilon=eps).bleu
+        corpus_bleu(hyps, refs, epsilon=eps).bleu
         for eps in (0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
     ]
     assert scores == sorted(scores)
     assert all(0.0 <= s <= 100.0 for s in scores)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    # NaN used to pass and score nan; inf made every zero precision perfect
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+        corpus_bleu([["a"]], [["a"]], epsilon=epsilon)
 
 
 def test_permutation_invariance():

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli
+from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli, fusion
 from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
 from candidate_soups.errors import ScorerFailure
+from candidate_soups.fusion import RegionChoice
+from candidate_soups.scoring import MAX_ORDER
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
@@ -53,6 +55,17 @@ def run_module(argv, stdin_bytes, **env_changes):
         env=env,
         timeout=60,
     )
+
+
+TOO_MANY_DIGITS = "1" * 5000  # more than int() converts from a string
+
+
+def _int_conversion_error(digits):
+    """The interpreter's own message for a string with too many digits."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
 
 
 def cross_error_line(ident="pair-1"):
@@ -138,6 +151,30 @@ class TestFuse:
         code, out, err = run(["fuse", "--oracle-check"], synth_out)
         assert code == 0, err
         assert len(out.splitlines()) == 1000
+
+    def test_oracle_mismatch_fails_only_its_line(self, monkeypatch):
+        stdin = "".join(line + "\n" for line in
+                        (cross_error_line("first"), three_way_line(), cross_error_line("last")))
+        _, fused, _ = run(["fuse"], stdin)
+        select_best = fusion.select_segment
+
+        def select_worst_of_three(region, scores, region_index=0):
+            # keeps the lowest window mean, in the one record with three candidates
+            choice = select_best(region, scores, region_index)
+            if len(region.segments) != 3:
+                return choice
+            means = choice.segment_scores
+            worst = means.index(min(means))
+            return RegionChoice(region_index, worst, means, region.segments[worst])
+
+        monkeypatch.setattr(fusion, "select_segment", select_worst_of_three)
+        code, out, err = run(["fuse", "--oracle-check"], stdin)
+        assert code == 1
+        (diagnostic,) = [json.loads(line) for line in err.splitlines()]
+        assert diagnostic["line"] == 2
+        assert diagnostic["error"].startswith("oracle mismatch: ")
+        first, _, last = fused.splitlines()
+        assert out.splitlines() == [first, last]
 
     def test_output_order_matches_input_order(self):
         lines = "\n".join(cross_error_line(f"id-{i}") for i in range(10))
@@ -295,6 +332,12 @@ class TestBleu:
             ('["a"]', "record must be an object with 'output'"),
             ('{"id": "x"}', "record must be an object with 'output'"),
             ('{"output": "a b"}', "'output' must be a list of strings"),
+            # an integer too long for int() used to be reported on line 0
+            pytest.param(
+                '{"output": ["a"], "n": ' + TOO_MANY_DIGITS + "}",
+                f"invalid JSON: {_int_conversion_error(TOO_MANY_DIGITS)}",
+                id="integer-too-long",
+            ),
         ],
     )
     def test_malformed_jsonl_line_named(self, tmp_path, line, message):
@@ -479,8 +522,8 @@ class TestCompareScoresEachCandidateOnce:
         code, _, err = run(argv, records)
         assert code == 0, err
         distinct = [
-            {remove_adjacent_duplicates(c).tokens for c in parse_candidate_record(
-                json.loads(line), DEFAULT_SCORE_FLOOR).candidates}
+            {remove_adjacent_duplicates(c).tokens
+             for c in parse_candidate_record(json.loads(line)).candidates}
             for line in records.splitlines()
         ]
         assert len(ngram_score_calls) == len(set(ngram_score_calls))
@@ -624,10 +667,8 @@ class TestWireFormat:
         )
         from candidate_soups.cli import candidate_record, parse_candidate_record
 
-        cset = parse_candidate_record(json.loads(line), -30.0)
-        rebuilt = parse_candidate_record(
-            json.loads(json.dumps(candidate_record(cset))), -30.0
-        )
+        cset = parse_candidate_record(json.loads(line))
+        rebuilt = parse_candidate_record(json.loads(json.dumps(candidate_record(cset))))
         assert rebuilt == cset
         assert list(rebuilt.candidates[0].scores) == scores
 
@@ -641,7 +682,7 @@ class TestWireFormat:
         )
         from candidate_soups.cli import candidate_record, parse_candidate_record
 
-        cset = parse_candidate_record(json.loads(line), -30.0)
+        cset = parse_candidate_record(json.loads(line))
         assert cset.source == ("die", "katze")
         assert candidate_record(cset)["source"] == "die katze"
 
@@ -691,6 +732,8 @@ BAD_MODELS = {
     # counts so large against alpha that a probability is 0, or beyond float range
     "underflow.ngram": "ngram 1 1e-300\n\ta\t" + "9" * 300 + "\n",
     "overflow.ngram": "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n",
+    # an order above the bound used to load, and scoring built order - 1 slices per candidate
+    "order-above-bound.ngram": f"ngram {MAX_ORDER + 1} 0.1\n",
 }
 
 
@@ -763,6 +806,9 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
         # non-finite noise settings used to pass and write floor scores
         (["synth", "r.txt", "--correct-score-mean", "nan"], None, "correct_score_mean"),
         (["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
+        # orders above the bound: the cost of an order grows with its square
+        (["bleu", "h.txt", "r.txt", "--max-n", str(MAX_ORDER + 1)], None, "--max-n"),
+        (["ngram-train", "-", "-o", "m.ngram", "--order", str(MAX_ORDER + 1)], None, "--order"),
     ],
 )
 def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):
@@ -782,6 +828,10 @@ def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_f
 
 def test_sweep_k_bound_is_inclusive():
     assert cli._k_range(f"1..{cli.MAX_SWEEP_K}") == range(1, cli.MAX_SWEEP_K + 1)
+
+
+def test_order_bound_is_inclusive():
+    assert cli._order(str(MAX_ORDER)) == MAX_ORDER
 
 
 class _RaisingScorer(Scorer):

@@ -21,6 +21,7 @@ from candidate_soups.errors import EmptyCorpus, ScorerFailure
 from candidate_soups.fusion import candidate_soups
 from candidate_soups.scoring import (
     END_SYMBOL,
+    MAX_ORDER,
     NGRAM_MEMO_SIZE,
     START_SYMBOL,
     ngram_score,
@@ -81,7 +82,8 @@ class TestTrainNgram:
         with pytest.raises(ValueError):
             train_ngram([["a"]], alpha=0.0)
         # a NaN alpha used to pass, since nan <= 0 is false
-        for settings in ({"n": 2.0}, {"alpha": float("nan")}, {"alpha": float("inf")}):
+        for settings in ({"n": 2.0}, {"n": MAX_ORDER + 1}, {"alpha": float("nan")},
+                         {"alpha": float("inf")}):
             with pytest.raises(ValueError):
                 train_ngram([["a"]], **settings)
 
@@ -156,7 +158,8 @@ class TestPersistence:
             load_ngram(str(path))
         # headers train_ngram would never write used to load; a NaN alpha
         # scored every token at the floor
-        for header in ["ngram 3 nan", "ngram 3 inf", "ngram 3 -1", "ngram 0 0.1"]:
+        for header in ["ngram 3 nan", "ngram 3 inf", "ngram 3 -1", "ngram 0 0.1",
+                       f"ngram {MAX_ORDER + 1} 0.1"]:
             path.write_text(header + "\na\tb\t1\n")
             with pytest.raises(ValueError, match="order|smoothing"):
                 load_ngram(str(path))

@@ -100,7 +100,7 @@ class TestGenerateCandidates:
         config = NoiseConfig(error_score_mean=-29.0, error_score_std=10.0,
                              substitution_rate=1.0)
         reference = tuple(f"t{i}" for i in range(100))
-        cset = generate_candidates(reference, 1, config, ("x", "y"), score_floor=-30.0)
+        cset = generate_candidates(reference, 1, config, ("x", "y"))
         assert all(-30.0 <= s <= 0.0 for s in cset.candidates[0].scores)
 
 
@@ -113,6 +113,20 @@ class TestGenerateCorpus:
 
     def test_empty_reference_list(self):
         assert generate_corpus([], 3, QUIET) == []
+
+    def test_vocabulary_is_prepared_once(self):
+        # it used to be deduplicated and indexed again for every reference
+        iterations = []
+
+        class CountingVocab(tuple):
+            def __iter__(self):
+                iterations.append(1)
+                return super().__iter__()
+
+        refs = [("a", "b"), ("c",), ("b", "a", "c")]
+        sets = generate_corpus(refs, 2, NoiseConfig(rng_seed=4), vocab=CountingVocab("abc"))
+        assert len(iterations) == 1
+        assert sets == generate_corpus(refs, 2, NoiseConfig(rng_seed=4), vocab=("a", "b", "c"))
 
     def test_candidate_streams_independent_of_k(self):
         refs = [tuple("abcdef"), tuple("ghij")]
