@@ -8,9 +8,11 @@ tokenization.
 N-grams are counted with ``Counter(zip(...))`` over shifted slices, so the
 counting runs in C.  A ``Reference`` counts one reference sentence's n-grams
 once and keeps the clipped matches of each distinct hypothesis scored
-against it.  ``cds compare`` builds one per record and adds every method's
-output (and each k of its sweep) against it, so the hypotheses that
-coincide within a record are clipped once; nothing is kept between records.
+against it; ``BleuAccumulator.add`` takes a hypothesis and a ``Reference``.
+``corpus_bleu`` builds one per sentence pair.  ``cds compare`` builds one
+per record and adds every method's output (and each k of its sweep) against
+it, so the hypotheses that coincide within a record are clipped once;
+nothing is kept between records.
 """
 
 from __future__ import annotations
@@ -108,17 +110,15 @@ class BleuAccumulator:
         self.ref_length = 0
         self.pairs = 0
 
-    def add(self, hypothesis: TokenSeq, reference: Reference | TokenSeq) -> None:
+    def add(self, hypothesis: TokenSeq, reference: Reference) -> None:
         """Count one sentence pair.
 
-        ``reference`` is a ``Reference`` of order at least ``max_n``, which
-        callers that score several hypotheses against one sentence build
-        once and pass to every add, or a plain token sequence, counted for
-        this pair alone.  Raises EmptyInput for an empty reference.
+        ``reference`` is a ``Reference`` of order at least ``max_n``; a
+        caller that scores several hypotheses against one sentence builds
+        it once and passes it to every add.  Raises ValueError for a
+        reference of a lower order.
         """
-        if not isinstance(reference, Reference):
-            reference = Reference(reference, self.max_n)
-        elif reference.max_n < self.max_n:
+        if reference.max_n < self.max_n:
             raise ValueError(
                 f"reference counts n-grams up to {reference.max_n}, accumulator needs {self.max_n}"
             )
@@ -180,5 +180,5 @@ def corpus_bleu(
         raise EmptyInput("empty corpus")
     acc = BleuAccumulator(max_n)
     for hyp, ref in zip(hypotheses, references):
-        acc.add(hyp, ref)
+        acc.add(hyp, Reference(ref, max_n))
     return acc.report(smoothing_epsilon=epsilon)

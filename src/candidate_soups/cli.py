@@ -55,25 +55,21 @@ from .scoring import (
     train_ngram,
 )
 
-# Only ``fuse --oracle-check`` calls these; see ``__getattr__``.
-_ORACLE_NAMES = ("build_lattice", "oracle_best")
+# Only ``fuse --oracle-check`` calls these two, so no other command loads
+# ``lattice_oracle``.  ``cmd_fuse`` calls them through the module globals,
+# where ``perfbench``'s tracer patches them.
 
 
-def _bind_oracle() -> None:
-    """Import the lattice oracle and bind its names here, keeping any already bound."""
+def build_lattice(cset: CandidateSet):
     from . import lattice_oracle
 
-    for name in _ORACLE_NAMES:
-        globals().setdefault(name, getattr(lattice_oracle, name))
+    return lattice_oracle.build_lattice(cset)
 
 
-def __getattr__(name: str):
-    # ``cli.build_lattice`` resolves on first use; ``cmd_fuse`` then calls it
-    # through the module globals, as it calls every other name
-    if name in _ORACLE_NAMES:
-        _bind_oracle()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def oracle_best(lattice) -> tuple[str, ...]:
+    from . import lattice_oracle
+
+    return lattice_oracle.oracle_best(lattice)
 
 
 class UsageError(Exception):
@@ -204,8 +200,8 @@ def candidate_record(cset: CandidateSet) -> dict:
     return record
 
 
-def fusion_record(ident: str, result: FusionResult, method: str, with_trace: bool) -> dict:
-    record: dict = {"id": ident, "output": list(result.tokens), "method": method}
+def fusion_record(ident: str, result: FusionResult, with_trace: bool) -> dict:
+    record: dict = {"id": ident, "output": list(result.tokens), "method": "cds"}
     if with_trace:
         record["trace"] = [
             {
@@ -299,8 +295,6 @@ def _iter_records(
 
 def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     scorer = _make_scorer(args.scorer)
-    if args.oracle_check:
-        _bind_oracle()  # build_lattice and oracle_best, called below
     failed = False
     with _input_lines(args.input, stdin) as lines:
         for line_no, cset in _iter_records(lines, stderr):
@@ -318,7 +312,7 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
                             f"oracle mismatch: fusion {' '.join(result.tokens)!r} "
                             f"vs best path {' '.join(best)!r}"
                         )
-                _dump(fusion_record(cset.id, result, "cds", args.trace), stdout)
+                _dump(fusion_record(cset.id, result, args.trace), stdout)
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True
@@ -402,9 +396,11 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
                 output = json.loads(line)["output"]
             except json.JSONDecodeError as exc:
                 raise _Stop(line_no, f"{path}: invalid JSON: {exc.msg}") from None
-            except ValueError as exc:  # an integer with more digits than int() converts
+            except (ValueError, RecursionError) as exc:
+                # an integer with more digits than int() converts, or nesting
+                # too deep for the decoder
                 raise _Stop(line_no, f"{path}: invalid JSON: {exc}") from None
-            except (KeyError, TypeError, RecursionError):
+            except (KeyError, TypeError):
                 raise _Stop(line_no, f"{path}: record must be an object with 'output'") from None
             if not isinstance(output, list) or not set(map(type, output)) <= {str}:
                 raise _Stop(line_no, f"{path}: 'output' must be a list of strings")

@@ -52,8 +52,7 @@ class NoiseConfig:
 class Vocabulary(tuple):
     """Distinct tokens in first-appearance order; ``positions`` maps each to its index.
 
-    ``generate_candidates`` builds one from any other token sequence on every
-    call; build one first to prepare a vocabulary once for many calls.
+    ``generate_candidates`` takes one; build it once for many calls.
     """
 
     def __new__(cls, tokens: Iterable[str]) -> Vocabulary:
@@ -114,13 +113,14 @@ def generate_candidates(
     reference: Sequence[str],
     k: int,
     config: NoiseConfig,
-    vocab: Sequence[str],
+    vocab: Vocabulary,
     ident: str = "0",
 ) -> CandidateSet:
     """Generate k independent corruptions of one reference sentence.
 
-    Raises EmptyReference when the reference has no tokens, then ValueError
-    when k < 1 or the vocabulary is empty.
+    ``vocab`` is the ``Vocabulary`` that insertions and substitutions draw
+    from.  Raises EmptyReference when the reference has no tokens, then
+    ValueError when k < 1 or the vocabulary is empty.
     """
     if not reference:
         raise EmptyReference(f"reference {ident!r} is empty")
@@ -128,8 +128,6 @@ def generate_candidates(
         raise ValueError(f"candidate count must be >= 1, got {k}")
     if not vocab:
         raise ValueError("vocabulary is empty")
-    if not isinstance(vocab, Vocabulary):
-        vocab = Vocabulary(vocab)
     candidates = tuple(
         _corrupt(reference, random.Random(f"{config.rng_seed}:{ident}:{i}"), config, vocab)
         for i in range(k)

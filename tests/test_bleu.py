@@ -58,7 +58,7 @@ def test_reference_serves_accumulators_up_to_its_order():
     reference = Reference(["a", "b", "c"], max_n=2)
     low, plain = BleuAccumulator(1), BleuAccumulator(1)
     low.add(["a", "b"], reference)
-    plain.add(["a", "b"], ["a", "b", "c"])
+    plain.add(["a", "b"], Reference(["a", "b", "c"], max_n=1))
     assert (low.matched, low.total) == (plain.matched, plain.total) == ([2], [2])
     with pytest.raises(ValueError, match="up to 2"):
         BleuAccumulator(3).add(["a", "b"], reference)

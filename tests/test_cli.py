@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli, fusion
+from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli, fusion, lattice_oracle
 from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
 from candidate_soups.errors import ScorerFailure
@@ -66,6 +66,17 @@ def _int_conversion_error(digits):
         int(digits)
     except ValueError as exc:
         return str(exc)
+
+
+def _decoder_recursion_error(text):
+    """The json decoder's own message for nesting too deep."""
+    try:
+        json.loads(text)
+    except RecursionError as exc:
+        return str(exc)
+
+
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def cross_error_line(ident="pair-1"):
@@ -175,6 +186,28 @@ class TestFuse:
         assert diagnostic["error"].startswith("oracle mismatch: ")
         first, _, last = fused.splitlines()
         assert out.splitlines() == [first, last]
+
+    def test_oracle_check_calls_the_oracle_through_cli(self, monkeypatch):
+        # cmd_fuse looks both names up in cli's globals, where the benchmark's
+        # tracer patches them
+        lattices = []
+
+        def build_lattice(cset):
+            lattices.append(lattice_oracle.build_lattice(cset))
+            return lattices[-1]
+
+        def wrong_best(lattice):
+            assert lattice is lattices[-1]
+            return ("wrong",)
+
+        monkeypatch.setattr(cli, "build_lattice", build_lattice)
+        monkeypatch.setattr(cli, "oracle_best", wrong_best)
+        stdin = "".join(cross_error_line(f"id-{i}") + "\n" for i in range(3))
+        code, out, err = run(["fuse", "--oracle-check"], stdin)
+        assert code == 1 and out == "" and len(lattices) == 3
+        diagnostics = [json.loads(line) for line in err.splitlines()]
+        assert [d["line"] for d in diagnostics] == [1, 2, 3]
+        assert all(d["error"].startswith("oracle mismatch: ") for d in diagnostics)
 
     def test_output_order_matches_input_order(self):
         lines = "\n".join(cross_error_line(f"id-{i}") for i in range(10))
@@ -337,6 +370,12 @@ class TestBleu:
                 '{"output": ["a"], "n": ' + TOO_MANY_DIGITS + "}",
                 f"invalid JSON: {_int_conversion_error(TOO_MANY_DIGITS)}",
                 id="integer-too-long",
+            ),
+            # used to say "record must be an object with 'output'"
+            pytest.param(
+                TOO_DEEP,
+                f"invalid JSON: {_decoder_recursion_error(TOO_DEEP)}",
+                id="nested-too-deep",
             ),
         ],
     )

@@ -264,10 +264,10 @@ def test_bleu_accumulator_matches_reference(max_n, pairs):
         reference = tuple(ref) if as_tuple else list(ref)
         for i in range(repeats):
             hypothesis = hyp[i:]
-            got.add(hypothesis, reference)
+            got.add(hypothesis, Reference(reference, max_n))
             reference_bleu_add(want, hypothesis, reference)
             # another order on the same reference between adds
-            other.add(tuple(hypothesis), list(reference))
+            other.add(tuple(hypothesis), Reference(list(reference), other.max_n))
             reference_bleu_add(other_want, tuple(hypothesis), list(reference))
     for acc, ref_acc in ((got, want), (other, other_want)):
         assert acc.matched == ref_acc.matched
@@ -329,7 +329,7 @@ def test_bleu_memo_matches_reference(hyps, refs, orders, adds):
     for h, r, a in adds:
         hypothesis, reference = hyps[h % len(hyps)], refs[r % len(refs)]
         got, want = accs[a % len(accs)]
-        got.add(hypothesis, reference)
+        got.add(hypothesis, Reference(reference, got.max_n))
         reference_bleu_add(want, hypothesis, reference)
         assert (got.matched, got.total) == (want.matched, want.total)
     for got, want in accs:

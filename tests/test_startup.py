@@ -66,7 +66,8 @@ def one_record(tmp_path):
     ids=["fuse", "npd", "fuse-oracle-check", "compare"],
 )
 def test_command_loads_only_what_it_runs(bare, tmp_path, argv, uses):
-    stdin = one_record(tmp_path) if argv[0] == "compare" else b""
+    # compare fails without a record; --oracle-check loads the oracle at its first record
+    stdin = one_record(tmp_path) if argv[0] == "compare" or "--oracle-check" in argv else b""
     names, code = imported(["-m", "candidate_soups", *argv], stdin, cwd=tmp_path)
     assert code == 0
     loaded = names - bare

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from candidate_soups.errors import EmptyReference
-from candidate_soups.synth import NoiseConfig, generate_candidates, generate_corpus
+from candidate_soups.synth import NoiseConfig, Vocabulary, generate_candidates, generate_corpus
 from helpers import random_references, word_vocab
 
 QUIET = NoiseConfig(
@@ -38,7 +38,7 @@ class TestNoiseConfig:
 class TestGenerateCandidates:
     def test_zero_noise_reproduces_reference(self):
         reference = ("the", "cat", "sat")
-        cset = generate_candidates(reference, 4, QUIET, vocab=reference)
+        cset = generate_candidates(reference, 4, QUIET, vocab=Vocabulary(reference))
         for cand in cset.candidates:
             assert cand.tokens == reference
             assert all(-1.0 < s <= 0.0 for s in cand.scores)
@@ -51,7 +51,7 @@ class TestGenerateCandidates:
             deletion_rate=0.0,
             duplication_rate=0.0,
         )
-        vocab = ("s1", "s2", "s3")
+        vocab = Vocabulary(("s1", "s2", "s3"))
         cset = generate_candidates(reference, 3, config, vocab)
         for cand in cset.candidates:
             assert len(cand.tokens) == len(reference)
@@ -62,26 +62,26 @@ class TestGenerateCandidates:
         reference = ("a",) * 30
         config = NoiseConfig(substitution_rate=1.0, insertion_rate=0.0,
                              deletion_rate=0.0, duplication_rate=0.0)
-        cset = generate_candidates(reference, 2, config, vocab=("a", "b", "c"))
+        cset = generate_candidates(reference, 2, config, vocab=Vocabulary(("a", "b", "c")))
         for cand in cset.candidates:
             assert "a" not in cand.tokens
 
     def test_deterministic_given_seed(self):
         reference = tuple("abcdefgh")
         config = NoiseConfig(rng_seed=99)
-        first = generate_candidates(reference, 5, config, reference)
-        second = generate_candidates(reference, 5, config, reference)
+        first = generate_candidates(reference, 5, config, Vocabulary(reference))
+        second = generate_candidates(reference, 5, config, Vocabulary(reference))
         assert first == second
 
     def test_different_seeds_differ(self):
         reference = tuple("abcdefgh")
-        a = generate_candidates(reference, 5, NoiseConfig(rng_seed=1), reference)
-        b = generate_candidates(reference, 5, NoiseConfig(rng_seed=2), reference)
+        a = generate_candidates(reference, 5, NoiseConfig(rng_seed=1), Vocabulary(reference))
+        b = generate_candidates(reference, 5, NoiseConfig(rng_seed=2), Vocabulary(reference))
         assert a != b
 
     def test_empty_reference(self):
         with pytest.raises(EmptyReference):
-            generate_candidates((), 3, QUIET, vocab=("a",))
+            generate_candidates((), 3, QUIET, vocab=Vocabulary(("a",)))
 
     def test_duplication_produces_adjacent_repeats(self):
         reference = tuple(f"t{i}" for i in range(200))
@@ -91,7 +91,7 @@ class TestGenerateCandidates:
             deletion_rate=0.0,
             duplication_rate=0.5,
         )
-        cset = generate_candidates(reference, 1, config, reference)
+        cset = generate_candidates(reference, 1, config, Vocabulary(reference))
         tokens = cset.candidates[0].tokens
         assert any(a == b for a, b in zip(tokens, tokens[1:]))
         assert len(tokens) > len(reference)
@@ -100,7 +100,7 @@ class TestGenerateCandidates:
         config = NoiseConfig(error_score_mean=-29.0, error_score_std=10.0,
                              substitution_rate=1.0)
         reference = tuple(f"t{i}" for i in range(100))
-        cset = generate_candidates(reference, 1, config, ("x", "y"))
+        cset = generate_candidates(reference, 1, config, Vocabulary(("x", "y")))
         assert all(-30.0 <= s <= 0.0 for s in cset.candidates[0].scores)
 
 
