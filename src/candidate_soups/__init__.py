@@ -11,8 +11,8 @@ The names below are the library API that README's "Library usage" lists;
 everything else is imported from its submodule (``candidate_soups.alignment``
 and so on).  They are loaded on first use (PEP 562): ``import
 candidate_soups`` imports no submodule, and ``from candidate_soups import X``
-imports only the module that defines ``X``.  A ``cds`` command thus compiles
-and runs only the code it uses.
+imports only the module that defines ``X``.  A ``cds`` command imports
+``bleu``, ``lattice_oracle`` and ``synth`` only when it runs them.
 """
 
 from importlib import import_module

@@ -36,7 +36,7 @@ class BleuReport(
     def to_json(self) -> dict:
         return {
             "bleu": self.bleu,
-            "precisions": list(self.ngram_precisions),
+            "precisions": self.ngram_precisions,
             "bp": self.brevity_penalty,
             "hyp_len": self.hyp_length,
             "ref_len": self.ref_length,

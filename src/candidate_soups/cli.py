@@ -18,7 +18,8 @@ Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
 stdin, stdout and stderr are UTF-8 whatever the locale, so a run depends
 only on its arguments and input bytes.  Output is strict JSON (no NaN or
-Infinity) in valid UTF-8.  Each command imports only the modules it runs.
+Infinity) in valid UTF-8.  Only the commands that run ``bleu``,
+``lattice_oracle`` or ``synth`` import them.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def parse_candidate_record(obj: dict, warn: Callable[[str], object] | None = Non
             raise ValueError(f"set {ident!r} candidate {idx}: 'tokens' must be a list")
         if not isinstance(scores, list) or not set(map(type, scores)) <= _NUMBER_TYPES:
             raise ValueError(f"set {ident!r} candidate {idx}: 'scores' must be a list of numbers")
-        candidates.append(ScoredCandidate(tuple(tokens), tuple(scores)))
+        candidates.append(ScoredCandidate(tokens, scores))
     source = tuple(source_text.split()) if source_text is not None else None
     return validate(CandidateSet(ident, tuple(candidates), source), DEFAULT_SCORE_FLOOR, warn)
 
@@ -194,22 +195,16 @@ def candidate_record(cset: CandidateSet) -> dict:
     record: dict = {"id": cset.id}
     if cset.source is not None:
         record["source"] = " ".join(cset.source)
-    record["candidates"] = [
-        {"tokens": list(c.tokens), "scores": list(c.scores)} for c in cset.candidates
-    ]
+    record["candidates"] = [{"tokens": c.tokens, "scores": c.scores} for c in cset.candidates]
     return record
 
 
 def fusion_record(ident: str, result: FusionResult, with_trace: bool) -> dict:
-    record: dict = {"id": ident, "output": list(result.tokens), "method": "cds"}
+    record: dict = {"id": ident, "output": result.tokens, "method": "cds"}
     if with_trace:
         record["trace"] = [
-            {
-                "region": choice.region_index,
-                "chosen": choice.chosen,
-                "scores": list(choice.segment_scores),
-            }
-            for choice in result.trace
+            {"region": region, "chosen": choice.chosen, "scores": choice.segment_scores}
+            for region, choice in enumerate(result.trace)
         ]
     return record
 
@@ -217,12 +212,13 @@ def fusion_record(ident: str, result: FusionResult, with_trace: bool) -> dict:
 # Input bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
 # and a "\ud800" escape parses to one; neither has a UTF-8 encoding.
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# json.dumps escapes every other line break; str.splitlines() also splits on these
+# the encoder escapes every other line break; str.splitlines() also splits on these
 _LINE_BREAK_ESCAPES = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)  # writes a tuple as a list
 
 
 def _dump(obj: dict, out: IO[str]) -> None:
-    text = json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    text = _ENCODER.encode(obj)
     if not text.isascii():
         if _LONE_SURROGATE.search(text):
             raise CdsError("output would hold a lone surrogate, which is not valid UTF-8")
@@ -293,48 +289,56 @@ def _iter_records(
         yield line_no, cset
 
 
-def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    scorer = _make_scorer(args.scorer)
+def _stream(
+    args: argparse.Namespace,
+    stdin: IO[str],
+    stdout: IO[str],
+    stderr: IO[str],
+    output: Callable[[CandidateSet], dict],
+) -> int:
+    """Write ``output`` of every record, truncated to ``--max-candidates``.
+
+    A ``CdsError`` fails only its record's line.
+    """
     failed = False
     with _input_lines(args.input, stdin) as lines:
         for line_no, cset in _iter_records(lines, stderr):
             if cset is None:
                 failed = True
                 continue
-            cset = _truncated(cset, args.max_candidates)
             try:
-                result = candidate_soups(cset, scorer)
-                if args.oracle_check:
-                    prepared = rescore_set(cset, scorer)
-                    best = oracle_best(build_lattice(prepared))
-                    if best != result.tokens:
-                        raise CdsError(
-                            f"oracle mismatch: fusion {' '.join(result.tokens)!r} "
-                            f"vs best path {' '.join(best)!r}"
-                        )
-                _dump(fusion_record(cset.id, result, args.trace), stdout)
+                _dump(output(_truncated(cset, args.max_candidates)), stdout)
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True
     return 1 if failed else 0
+
+
+def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+    scorer = _make_scorer(args.scorer)
+
+    def output(cset: CandidateSet) -> dict:
+        result = candidate_soups(cset, scorer)
+        if args.oracle_check:
+            best = oracle_best(build_lattice(rescore_set(cset, scorer)))
+            if best != result.tokens:
+                raise CdsError(
+                    f"oracle mismatch: fusion {' '.join(result.tokens)!r} "
+                    f"vs best path {' '.join(best)!r}"
+                )
+        return fusion_record(cset.id, result, args.trace)
+
+    return _stream(args, stdin, stdout, stderr, output)
 
 
 def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
     scorer = _make_scorer(args.scorer)
-    failed = False
-    with _input_lines(args.input, stdin) as lines:
-        for line_no, cset in _iter_records(lines, stderr):
-            if cset is None:
-                failed = True
-                continue
-            cset = _truncated(cset, args.max_candidates)
-            try:
-                _, winner = npd_select(cset, scorer)
-                _dump({"id": cset.id, "output": list(winner.tokens), "method": "npd"}, stdout)
-            except CdsError as exc:
-                _diagnostic(stderr, line_no, str(exc))
-                failed = True
-    return 1 if failed else 0
+
+    def output(cset: CandidateSet) -> dict:
+        _, winner = npd_select(cset, scorer)
+        return {"id": cset.id, "output": winner.tokens, "method": "npd"}
+
+    return _stream(args, stdin, stdout, stderr, output)
 
 
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:

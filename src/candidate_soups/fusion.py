@@ -18,13 +18,13 @@ from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, record, validate
 from .scoring import Scorer, SelfScorer, rescore_set
 
 
-class RegionChoice(record("RegionChoice", "region_index chosen segment_scores chosen_tokens")):
+class RegionChoice(record("RegionChoice", "chosen segment_scores chosen_tokens")):
     """The decision made for one divergence region."""
 
     __slots__ = ()
 
 
-class FusionResult(record("FusionResult", "tokens trace anchors_used")):
+class FusionResult(record("FusionResult", "tokens trace")):
     """Fused token sequence plus the per-region decision trace."""
 
     __slots__ = ()
@@ -33,11 +33,7 @@ class FusionResult(record("FusionResult", "tokens trace anchors_used")):
 _new = tuple.__new__  # builds a record from fields that are already tuples
 
 
-def select_segment(
-    region: DivergenceRegion,
-    scores: Sequence[Sequence[float]],
-    region_index: int = 0,
-) -> RegionChoice:
+def select_segment(region: DivergenceRegion, scores: Sequence[Sequence[float]]) -> RegionChoice:
     """Pick the candidate whose window mean is highest; ties go to the lowest index.
 
     A window is the segment plus one bounding anchor token on each side,
@@ -50,7 +46,7 @@ def select_segment(
         means.append(fsum(window) / len(window))
     segment_scores = tuple(means)
     chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
-    return _new(RegionChoice, (region_index, chosen, segment_scores, region.segments[chosen]))
+    return _new(RegionChoice, (chosen, segment_scores, region.segments[chosen]))
 
 
 def candidate_soups(
@@ -72,13 +68,11 @@ def candidate_soups(
 
     tokens: list[str] = []
     trace: list[RegionChoice] = []
-    anchors = 0
     for element in part.elements:
         if isinstance(element, Anchor):
             tokens.append(element.token)
-            anchors += 1
         else:
-            choice = select_segment(element, scores, region_index=len(trace))
+            choice = select_segment(element, scores)
             trace.append(choice)
             tokens.extend(choice.chosen_tokens)
-    return _new(FusionResult, (tuple(tokens), tuple(trace), anchors))
+    return _new(FusionResult, (tuple(tokens), tuple(trace)))

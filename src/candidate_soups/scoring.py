@@ -295,10 +295,11 @@ def npd_select(
 ) -> tuple[int, ScoredCandidate]:
     """Keep the single candidate with the highest mean log-probability.
 
-    Candidates are deduped before scoring (the same preprocessing fusion
-    applies, so the two are comparable).  Ties go to the lowest index.
-    Returns the winning index and the deduped candidate with its stored
-    scores; the scorer influences selection only.
+    ``cset`` must have passed ``validate``, as ``cds npd`` gives it; unlike
+    ``candidate_soups``, this does not validate.  Candidates are deduped
+    before scoring (as fusion does, so the two are comparable).  Ties go to
+    the lowest index.  Returns the winning index and the deduped candidate
+    with its stored scores; the scorer influences selection only.
     """
     scorer = scorer if scorer is not None else SelfScorer()
     prepared = rescore_set(cset, scorer)

@@ -305,11 +305,9 @@ def reference_candidate_soups(
 
     tokens: list[str] = []
     trace: list[RegionChoice] = []
-    anchors = 0
     for element in reference_partition(prepared).elements:
         if isinstance(element, Anchor):
             tokens.append(element.token)
-            anchors += 1
             continue
         segment_scores = []
         for j in range(len(element.segments)):
@@ -318,11 +316,9 @@ def reference_candidate_soups(
             window = scores[j][lo:hi]
             segment_scores.append(math.fsum(window) / len(window))
         chosen = max(range(len(segment_scores)), key=lambda j: (segment_scores[j], -j))
-        trace.append(
-            RegionChoice(len(trace), chosen, tuple(segment_scores), element.segments[chosen])
-        )
+        trace.append(RegionChoice(chosen, tuple(segment_scores), element.segments[chosen]))
         tokens.extend(element.segments[chosen])
-    return FusionResult(tuple(tokens), tuple(trace), anchors)
+    return FusionResult(tuple(tokens), tuple(trace))
 
 
 # --- window means and lattice paths, as tests read them ------------------------
@@ -635,11 +631,9 @@ def _previous_window(cand_scores: Sequence[float], start: int, end: int) -> Sequ
 
 
 def previous_select_segment(
-    region: DivergenceRegion,
-    scores: Sequence[Sequence[float]],
-    region_index: int = 0,
+    region: DivergenceRegion, scores: Sequence[Sequence[float]]
 ) -> RegionChoice:
     windows = map(_previous_window, scores, region.start, region.end)
     segment_scores = tuple([math.fsum(w) / len(w) for w in windows])
     chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
-    return RegionChoice(region_index, chosen, segment_scores, region.segments[chosen])
+    return RegionChoice(chosen, segment_scores, region.segments[chosen])

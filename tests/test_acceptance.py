@@ -117,7 +117,7 @@ def test_criterion_2_three_way_golden():
     result = candidate_soups(cset)
     assert list(result.tokens) == THREE_WAY_FUSED
     # region 1 -> candidate 2, region 2 -> candidate 3 (0-based: 1 and 2)
-    assert [(c.region_index, c.chosen) for c in result.trace] == [(0, 1), (1, 2)]
+    assert [c.chosen for c in result.trace] == [1, 2]
     prepared = rescore_set(validate(cset), SelfScorer())
     anchor_tokens = [a.token for a in partition(prepared).anchors()]
     assert anchor_tokens == THREE_WAY_ANCHORS == ["The", "Republican", "extend", "States", "."]

@@ -137,4 +137,4 @@ def test_report_json_keys():
     payload = report.to_json()
     assert set(payload) == {"bleu", "precisions", "bp", "hyp_len", "ref_len"}
     assert payload["bleu"] == 100.0
-    assert payload["precisions"] == [1.0, 1.0, 1.0, 1.0]
+    assert payload["precisions"] == (1.0, 1.0, 1.0, 1.0)

@@ -169,14 +169,14 @@ class TestFuse:
         _, fused, _ = run(["fuse"], stdin)
         select_best = fusion.select_segment
 
-        def select_worst_of_three(region, scores, region_index=0):
+        def select_worst_of_three(region, scores):
             # keeps the lowest window mean, in the one record with three candidates
-            choice = select_best(region, scores, region_index)
+            choice = select_best(region, scores)
             if len(region.segments) != 3:
                 return choice
             means = choice.segment_scores
             worst = means.index(min(means))
-            return RegionChoice(region_index, worst, means, region.segments[worst])
+            return RegionChoice(worst, means, region.segments[worst])
 
         monkeypatch.setattr(fusion, "select_segment", select_worst_of_three)
         code, out, err = run(["fuse", "--oracle-check"], stdin)

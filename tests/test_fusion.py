@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from candidate_soups import CandidateSet, ScoredCandidate, Scorer, candidate_soups
-from candidate_soups.alignment import DivergenceRegion
+from candidate_soups import CandidateSet, ScoredCandidate, Scorer, candidate_soups, validate
+from candidate_soups.alignment import DivergenceRegion, partition
 from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.errors import ScorerFailure
 from candidate_soups.fusion import select_segment
+from candidate_soups.scoring import SelfScorer, rescore_set
 from helpers import (
     CROSS_ERROR_FUSED,
     THREE_WAY_ANCHORS,
@@ -65,8 +66,7 @@ class TestSelectSegment:
     def test_segment_scores_cover_every_candidate(self):
         scores = [(-0.5, -0.1, -0.5), (-0.2, -0.9, -0.2)]
         reg = region([1, 1], [2, 2], [["x"], ["y"]])
-        choice = select_segment(reg, scores, region_index=3)
-        assert choice.region_index == 3
+        choice = select_segment(reg, scores)
         assert len(choice.segment_scores) == 2
         assert choice.chosen == max(
             range(2), key=lambda j: (choice.segment_scores[j], -j)
@@ -81,8 +81,12 @@ class TestCandidateSoups:
     def test_three_way_fusion_output_and_trace(self):
         result = candidate_soups(three_way_set())
         assert list(result.tokens) == THREE_WAY_FUSED
-        assert [(c.region_index, c.chosen) for c in result.trace] == [(0, 1), (1, 2)]
-        assert result.anchors_used == len(THREE_WAY_ANCHORS)
+        assert [c.chosen for c in result.trace] == [1, 2]
+        prepared = rescore_set(validate(three_way_set()), SelfScorer())
+        anchors = len(list(partition(prepared).anchors()))
+        assert anchors == len(THREE_WAY_ANCHORS)
+        chosen_total = sum(len(choice.chosen_tokens) for choice in result.trace)
+        assert len(result.tokens) == anchors + chosen_total
 
     def test_identical_candidates_fuse_to_themselves(self):
         cand = ScoredCandidate(("a", "a", "b"), (-0.1, -0.2, -0.3))
@@ -106,7 +110,8 @@ class TestCandidateSoups:
             pool = set().union(*map(set, deduped))
             assert set(result.tokens) <= pool
             chosen_total = sum(len(choice.chosen_tokens) for choice in result.trace)
-            assert len(result.tokens) == result.anchors_used + chosen_total
+            anchors = len(list(partition(rescore_set(validate(cset), SelfScorer())).anchors()))
+            assert len(result.tokens) == anchors + chosen_total
 
     def test_misaligned_scorer_raises(self):
         class Broken(Scorer):

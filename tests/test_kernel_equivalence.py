@@ -201,9 +201,9 @@ def test_rescore_set_matches_previous(cset, scorer):
 def test_select_segment_matches_previous(cset, as_lists):
     prepared = rescore_set(cset, SelfScorer())
     scores = [list(c.scores) if as_lists else c.scores for c in prepared.candidates]
-    for index, region in enumerate(partition(prepared).regions()):
-        got = select_segment(region, scores, index)
-        assert ident(got) == ident(previous_select_segment(region, scores, index))
+    for region in partition(prepared).regions():
+        got = select_segment(region, scores)
+        assert ident(got) == ident(previous_select_segment(region, scores))
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,7 +216,7 @@ def test_fusion_matches_previous_kernel(cset):
         if isinstance(element, Anchor):
             tokens.append(element.token)
         else:
-            trace.append(previous_select_segment(element, scores, len(trace)))
+            trace.append(previous_select_segment(element, scores))
             tokens.extend(trace[-1].chosen_tokens)
     got = candidate_soups(cset)
     assert got.tokens == tuple(tokens)

@@ -33,11 +33,9 @@ CASES = [
      "DivergenceRegion(start=(0, 0), end=(1, 2), segments=(('a',), ('b', 'c')))"),
     (AlignedPartition, ((Anchor("a", (0, 1)),),),
      "AlignedPartition(elements=(Anchor(token='a', positions=(0, 1)),))"),
-    (RegionChoice, (0, 1, (-0.5, -0.25), ("b",)),
-     "RegionChoice(region_index=0, chosen=1, segment_scores=(-0.5, -0.25), "
-     "chosen_tokens=('b',))"),
-    (FusionResult, (("a", "b"), (), 2),
-     "FusionResult(tokens=('a', 'b'), trace=(), anchors_used=2)"),
+    (RegionChoice, (1, (-0.5, -0.25), ("b",)),
+     "RegionChoice(chosen=1, segment_scores=(-0.5, -0.25), chosen_tokens=('b',))"),
+    (FusionResult, (("a", "b"), ()), "FusionResult(tokens=('a', 'b'), trace=())"),
     (NGramModel, (2, 0.1, {(): {"a": 1}}, {(): 1}, frozenset({"a"})),
      "NGramModel(order=2, alpha=0.1)"),
     (BleuReport, (50.0, (1.0, 0.5), 1.0, 3, 4),
