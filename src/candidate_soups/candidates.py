@@ -140,7 +140,10 @@ def validate(
         LengthMismatch: a candidate's token and score counts differ.
         PositiveScore: a score is greater than zero or not a real number.
         InvalidToken: a token is empty or contains whitespace.
+        ValueError: ``score_floor`` is above zero or NaN.
     """
+    if not score_floor <= 0:
+        raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
     if not cset.candidates:
         raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
     # an empty source is valid, though _tokens_valid(()) is False

@@ -1,11 +1,13 @@
 """Simplified lattice construction and an independent best-path oracle.
 
 The lattice is the exhaustive view of the same search space the greedy
-fusion walks: anchor nodes joined by groups of per-candidate segment
-branches.  A path's score is the sum of its branches' window means, and
-each mean depends only on the branch taken in its own region.  The
-objective is separable, so the Viterbi recursion over the lattice
-collapses to an argmax per region group: ``oracle_best`` costs
+fusion walks: the set's partition, whose anchors are the lattice's nodes
+and whose divergence regions each hold one branch per candidate, plus one
+row of window means per region, ``means[r][j]`` being the score of
+candidate j's branch through region r.  A path's score is the sum of its
+branches' means, and each mean depends only on the branch taken in its own
+region.  The objective is separable, so the Viterbi recursion over the
+lattice collapses to an argmax per region: ``oracle_best`` costs
 O(regions x k) however many paths there are, and since no totals are
 summed, comparing two float means is exact.  Window means are computed
 here from scratch rather than shared with the fusion module, so a slicing
@@ -15,39 +17,15 @@ bug on either side shows up as a mismatch.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-from typing import Union
 
 from .alignment import Anchor, partition
 from .candidates import CandidateSet, record
 
 
-class AnchorNode(record("AnchorNode", "token")):
-    __slots__ = ()
-
-
-class LatticeBranch(record("LatticeBranch", "candidate tokens score")):
-    """One candidate's segment through a region, with its window-mean score."""
+class SimplifiedLattice(record("SimplifiedLattice", "partition means")):
+    """A partition plus, per divergence region, each candidate's window mean."""
 
     __slots__ = ()
-
-
-class RegionGroup(record("RegionGroup", "branches")):
-    """All candidate branches spanning one divergence region."""
-
-    __slots__ = ()
-
-
-LatticeElement = Union[AnchorNode, RegionGroup]
-
-
-class SimplifiedLattice(record("SimplifiedLattice", "elements")):
-    """Anchor nodes alternating with region groups; every path is a fusion."""
-
-    __slots__ = ()
-
-    def region_groups(self) -> list[RegionGroup]:
-        return [el for el in self.elements if isinstance(el, RegionGroup)]
 
 
 def _window_mean(scores: tuple[float, ...], start: int, end: int) -> float:
@@ -61,48 +39,36 @@ def _window_mean(scores: tuple[float, ...], start: int, end: int) -> float:
 def build_lattice(cset: CandidateSet) -> SimplifiedLattice:
     """Build the node-fused lattice of a validated, deduped candidate set.
 
-    Elements mirror the partition one-to-one; branch j of each region group
-    carries candidate j's segment and its window-mean score under the set's
-    stored scores.
+    ``means[r][j]`` is candidate j's window mean over divergence region r
+    under the set's stored scores.
     """
     part = partition(cset)
     scores = [c.scores for c in cset.candidates]
-    elements: list[LatticeElement] = []
-    for element in part.elements:
-        if isinstance(element, Anchor):
-            elements.append(AnchorNode(element.token))
-        else:
-            branches = tuple(
-                LatticeBranch(
-                    j,
-                    element.segments[j],
-                    _window_mean(scores[j], element.start[j], element.end[j]),
-                )
-                for j in range(len(element.segments))
-            )
-            elements.append(RegionGroup(branches))
-    return SimplifiedLattice(tuple(elements))
+    means = tuple(
+        tuple(_window_mean(s, a, b) for s, a, b in zip(scores, region.start, region.end))
+        for region in part.regions()
+    )
+    return SimplifiedLattice(part, means)
 
 
 def path_count(lattice: SimplifiedLattice) -> int:
     """Number of distinct paths: the product of per-region distinct branch counts."""
-    return math.prod(
-        len({b.tokens for b in group.branches}) for group in lattice.region_groups()
-    )
+    return math.prod(len(set(region.segments)) for region in lattice.partition.regions())
 
 
 def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:
     """The path maximizing the sum of branch scores, found region by region.
 
-    Each region keeps its highest-scoring branch, and ``max`` keeps the
+    Each region keeps its highest-scoring branch, and ``index`` finds the
     first of equal maxima: the lowest candidate index, which is the greedy
     fusion's tie rule and the lexicographically first optimal path.
     """
-    best = attrgetter("score")
+    rows = iter(lattice.means)
     out: list[str] = []
-    for element in lattice.elements:
-        if isinstance(element, AnchorNode):
+    for element in lattice.partition.elements:
+        if isinstance(element, Anchor):
             out.append(element.token)
         else:
-            out.extend(max(element.branches, key=best).tokens)
+            row = next(rows)
+            out.extend(element.segments[row.index(max(row))])
     return tuple(out)

@@ -189,6 +189,8 @@ class NGramScorer(Scorer):
     """
 
     def __init__(self, model: NGramModel, score_floor: float = DEFAULT_SCORE_FLOOR):
+        if not score_floor <= 0:
+            raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
         self.model = model
         self.score_floor = score_floor
         # closes over the model and floor, not self: no reference cycle

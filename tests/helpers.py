@@ -7,7 +7,7 @@ import logging
 import math
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import compress
@@ -25,12 +25,7 @@ from candidate_soups.errors import (
     ScorerFailure,
 )
 from candidate_soups.fusion import RegionChoice, select_segment
-from candidate_soups.lattice_oracle import (
-    AnchorNode,
-    LatticeBranch,
-    SimplifiedLattice,
-    path_count,
-)
+from candidate_soups.lattice_oracle import SimplifiedLattice, path_count
 from candidate_soups.scoring import START_SYMBOL, NGramModel
 
 # --- two candidates whose errors sit in opposite halves -------------------
@@ -336,6 +331,17 @@ class PathExplosion(CdsError):
     """A lattice has more paths than the enumeration cap allows."""
 
 
+Branch = namedtuple("Branch", "candidate tokens score")
+
+
+def lattice_branches(lattice: SimplifiedLattice) -> list[tuple[Branch, ...]]:
+    """Each region's branches: candidate j's segment with its window mean."""
+    return [
+        tuple(map(Branch, range(len(row)), region.segments, row))
+        for region, row in zip(lattice.partition.regions(), lattice.means)
+    ]
+
+
 def enumerate_paths(
     lattice: SimplifiedLattice, cap: int = DEFAULT_PATH_CAP
 ) -> list[tuple[str, ...]]:
@@ -348,7 +354,7 @@ def enumerate_paths(
     count = path_count(lattice)
     if count > cap:
         raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
-    groups = [dict.fromkeys(b.tokens for b in g.branches) for g in lattice.region_groups()]
+    groups = [dict.fromkeys(b.tokens for b in g) for g in lattice_branches(lattice)]
     return [_reference_assemble(lattice, combo) for combo in itertools.product(*groups)]
 
 
@@ -358,9 +364,9 @@ def enumerate_paths(
 # linear oracle is checked against; only usable on lattices with few paths.
 
 
-def _reference_distinct_branches(group) -> list[LatticeBranch]:
-    best: dict[tuple[str, ...], LatticeBranch] = {}
-    for branch in group.branches:
+def _reference_distinct_branches(group) -> list[Branch]:
+    best: dict[tuple[str, ...], Branch] = {}
+    for branch in group:
         kept = best.get(branch.tokens)
         if kept is None or branch.score > kept.score:
             best[branch.tokens] = branch
@@ -372,8 +378,8 @@ def _reference_assemble(
 ) -> tuple[str, ...]:
     out: list[str] = []
     region = 0
-    for element in lattice.elements:
-        if isinstance(element, AnchorNode):
+    for element in lattice.partition.elements:
+        if isinstance(element, Anchor):
             out.append(element.token)
         else:
             out.extend(segments[region])
@@ -388,8 +394,8 @@ def reference_oracle_best(
     count = path_count(lattice)
     if count > cap:
         raise PathExplosion(f"lattice has {count} paths, cap is {cap}")
-    groups = [_reference_distinct_branches(g) for g in lattice.region_groups()]
-    best_combo: tuple[LatticeBranch, ...] | None = None
+    groups = [_reference_distinct_branches(g) for g in lattice_branches(lattice)]
+    best_combo: tuple[Branch, ...] | None = None
     best_total: Fraction | None = None
     for combo in itertools.product(*groups):
         total = sum((Fraction(b.score) for b in combo), Fraction(0))

@@ -45,6 +45,18 @@ def test_length_mismatch():
 def test_empty_corpus():
     with pytest.raises(EmptyInput):
         corpus_bleu([], [])
+    with pytest.raises(EmptyInput, match="no sentence pairs were scored"):
+        BleuAccumulator().report()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Reference(["a"], max_n=0), lambda: BleuAccumulator(0)],
+    ids=["Reference", "BleuAccumulator"],
+)
+def test_max_n_must_be_positive(make):
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        make()
 
 
 def test_empty_reference_sentence():

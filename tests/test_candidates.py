@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +151,13 @@ class TestValidate:
     def test_custom_floor(self):
         cset = CandidateSet("s", (cand(["a"], [-45.0]),))
         assert validate(cset, score_floor=-50.0) is cset
+
+    @pytest.mark.parametrize("floor", [1.0, 0.5, math.nan])
+    def test_floor_above_zero_or_nan_is_rejected(self, floor):
+        # a floor of 1.0 used to "clamp" (-0.5, -1.0) to (1.0, 1.0)
+        cset = CandidateSet("s", (cand(["a", "b"], [-0.5, -1.0]),))
+        with pytest.raises(ValueError, match="score_floor must be <= 0"):
+            validate(cset, floor)
 
     def test_negative_infinity_clamped(self):
         cset = CandidateSet("s", (cand(["a"], [float("-inf")]),))

@@ -400,6 +400,17 @@ class TestBleu:
         assert code == 1
         assert "error" in json.loads(err)
 
+    def test_blank_hypotheses_fail(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("\n\n")
+        ref.write_text("a b\nc d\n")
+        code, out, err = run(["bleu", str(hyp), str(ref)])
+        assert code == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"line": 0, "error": "hypotheses contain no tokens"}
+        ]
+
     def test_empty_reference_line_named(self, tmp_path):
         # used to report "reference sentence is empty" at line 0
         hyp = tmp_path / "hyp.txt"
@@ -981,15 +992,20 @@ class TestTypedWireParsing:
         assert code == 0 and err == ""
         assert json.loads(out)["output"] == ["a", "b"]
 
-    @pytest.mark.parametrize("missing", ["tokens", "scores"])
-    def test_missing_candidate_key_is_named(self, missing):
-        # used to give the bare KeyError text, "'scores'"
-        candidate = {"tokens": ["x"], "scores": [-0.1]}
-        del candidate[missing]
+    @pytest.mark.parametrize(
+        "candidate, message",
+        [
+            pytest.param({"scores": [-0.1]}, "is missing key 'tokens'", id="tokens"),
+            pytest.param({"tokens": ["x"]}, "is missing key 'scores'", id="scores"),
+            pytest.param(["a"], "must be a JSON object", id="not-an-object"),
+        ],
+    )
+    def test_missing_candidate_key_is_named(self, candidate, message):
+        # a missing key used to give the bare KeyError text, "'scores'"
         line = json.dumps({"id": "a", "candidates": [candidate]})
         code, out, err = run(["fuse"], line)
         assert code == 1 and out == ""
-        assert single_error(err) == f"set 'a' candidate 0 is missing key '{missing}'"
+        assert single_error(err) == f"set 'a' candidate 0 {message}"
 
     def test_non_list_candidates_are_rejected(self):
         line = json.dumps({"id": "t", "candidates": {"tokens": ["a"], "scores": [-0.1]}})

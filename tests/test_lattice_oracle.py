@@ -7,19 +7,14 @@ from hypothesis import strategies as st
 
 from candidate_soups import CandidateSet, ScoredCandidate, SelfScorer, candidate_soups, validate
 from candidate_soups.alignment import partition
-from candidate_soups.lattice_oracle import (
-    AnchorNode,
-    RegionGroup,
-    build_lattice,
-    oracle_best,
-    path_count,
-)
+from candidate_soups.lattice_oracle import build_lattice, oracle_best, path_count
 from candidate_soups.scoring import rescore_set
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     DEFAULT_PATH_CAP,
     PathExplosion,
     enumerate_paths,
+    lattice_branches,
     random_candidate_set,
     random_references,
     reference_oracle_best,
@@ -49,15 +44,14 @@ class TestBuildLattice:
             ["A", "x3", "B", "C", "y3", "D"],
         )
         lattice = build_lattice(cset)
-        anchors = [el for el in lattice.elements if isinstance(el, AnchorNode)]
-        groups = [el for el in lattice.elements if isinstance(el, RegionGroup)]
-        assert [a.token for a in anchors] == ["A", "B", "C", "D"]
-        assert len(groups) == 2
         part = partition(cset)
-        assert len(lattice.elements) == len(part.elements)
+        assert lattice.partition == part
+        assert [a.token for a in lattice.partition.anchors()] == ["A", "B", "C", "D"]
+        groups = lattice_branches(lattice)
+        assert len(groups) == len(lattice.means) == 2
         for group, region in zip(groups, part.regions()):
-            assert tuple(b.tokens for b in group.branches) == region.segments
-            assert tuple(b.candidate for b in group.branches) == (0, 1, 2)
+            assert tuple(b.tokens for b in group) == region.segments
+            assert tuple(b.candidate for b in group) == (0, 1, 2)
 
     def test_single_candidate_single_path(self):
         lattice = build_lattice(flat_set(["a", "b", "c"]))

@@ -5,7 +5,8 @@ The corpus is built in-process: seeded references, ``generate_corpus`` and
 the ``ngram:`` scorer.  Each command's stdout is pinned by its sha256, so a
 refactor that moves one token, one trace score's float repr or one byte of
 JSON layout fails here.  ``compare``'s ``mean_fusion_ms`` is a wall-clock
-time and is cut out before hashing.
+time and is replaced by ``null`` before hashing, in its JSON and its text
+form.
 """
 
 import hashlib
@@ -32,13 +33,16 @@ PINNED = {
         "b69d44acfbb871ea93a9185092a1a376991e0bc206959edf82a003947fb62331",
     "compare --json --sweep-k 1..7 --refs {refs} {records}":
         "142720db80589c0b765a5716aa22903bfa192d7b54b4ce76562184e9d9b0db2a",
+    "compare --sweep-k 1..7 --refs {refs} {records}":
+        "ce9d0cca4399243d12b789f6042ebb34a1b30a61f9209858c3393f79e8f7837d",
     "bleu --hyp-jsonl {fused} {refs}":
         "5b8d013883277288d0a0d129078b3a6281f27b12dd478425c5a20a7c4aa1d568",
     "synth {refs} --k 7 --seed 0":
         "4b2559d5af790a11c50541bb77a5b3bf778331dc7df8198477368cf3bf97ca21",
 }
 
-_FUSION_TIME = re.compile(r'"mean_fusion_ms": [^,}]+')
+# the JSON form ("mean_fusion_ms": <time>) and the text form (mean_fusion_ms\t<time>)
+_FUSION_TIME = re.compile(r'(mean_fusion_ms(?:": |\t))[^,}\n]+')
 
 
 def run(argv: list[str]) -> str:
@@ -70,5 +74,5 @@ def files(tmp_path_factory):
 def test_stdout_bytes_are_pinned(files, command):
     stdout = run(command.format(**files).split())
     if command.startswith("compare"):
-        stdout = _FUSION_TIME.sub('"mean_fusion_ms": null', stdout)
+        stdout = _FUSION_TIME.sub(r"\1null", stdout)
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == PINNED[command]

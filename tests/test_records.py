@@ -11,12 +11,7 @@ from candidate_soups import CandidateSet, FusionResult, ScoredCandidate
 from candidate_soups.alignment import AlignedPartition, Anchor, DivergenceRegion
 from candidate_soups.bleu import BleuReport
 from candidate_soups.fusion import RegionChoice
-from candidate_soups.lattice_oracle import (
-    AnchorNode,
-    LatticeBranch,
-    RegionGroup,
-    SimplifiedLattice,
-)
+from candidate_soups.lattice_oracle import SimplifiedLattice
 from candidate_soups.scoring import NGramModel
 
 SC = ScoredCandidate(("a", "b"), (0.0, -1.0))
@@ -41,12 +36,8 @@ CASES = [
     (BleuReport, (50.0, (1.0, 0.5), 1.0, 3, 4),
      "BleuReport(bleu=50.0, ngram_precisions=(1.0, 0.5), brevity_penalty=1.0, "
      "hyp_length=3, ref_length=4)"),
-    (AnchorNode, ("a",), "AnchorNode(token='a')"),
-    (LatticeBranch, (0, ("a",), -0.5), "LatticeBranch(candidate=0, tokens=('a',), score=-0.5)"),
-    (RegionGroup, ((LatticeBranch(0, ("a",), -0.5),),),
-     "RegionGroup(branches=(LatticeBranch(candidate=0, tokens=('a',), score=-0.5),))"),
-    (SimplifiedLattice, ((AnchorNode("a"),),),
-     "SimplifiedLattice(elements=(AnchorNode(token='a'),))"),
+    (SimplifiedLattice, (AlignedPartition(()), ((-0.5, -0.25),)),
+     "SimplifiedLattice(partition=AlignedPartition(elements=()), means=((-0.5, -0.25),))"),
 ]
 IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
 

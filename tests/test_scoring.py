@@ -357,6 +357,13 @@ def test_scorer_determinism():
     assert self_s.rescore(None, cand) == self_s.rescore(None, cand)
 
 
+@pytest.mark.parametrize("floor", [1.0, 0.5, math.nan])
+def test_ngram_scorer_rejects_a_floor_above_zero_or_nan(floor):
+    # a floor of 3.0 used to score every token 3.0, and NaN scored nan
+    with pytest.raises(ValueError, match="score_floor must be <= 0"):
+        NGramScorer(train_ngram([["a", "b"]], n=2), floor)
+
+
 class TestNGramScorerMemo:
     def test_repeat_is_scored_once_whatever_the_source(self, ngram_score_calls):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))

@@ -83,6 +83,15 @@ class TestGenerateCandidates:
         with pytest.raises(EmptyReference):
             generate_candidates((), 3, QUIET, vocab=Vocabulary(("a",)))
 
+    @pytest.mark.parametrize(
+        "k, vocab",
+        [(0, Vocabulary(("a",))), (3, Vocabulary(()))],
+        ids=["k-0", "empty-vocabulary"],
+    )
+    def test_rejects_bad_count_or_vocabulary(self, k, vocab):
+        with pytest.raises(ValueError):
+            generate_candidates(("a", "b"), k, QUIET, vocab=vocab)
+
     def test_duplication_produces_adjacent_repeats(self):
         reference = tuple(f"t{i}" for i in range(200))
         config = NoiseConfig(
