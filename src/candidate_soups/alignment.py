@@ -13,8 +13,8 @@ computation.
 
 from __future__ import annotations
 
-from itertools import repeat, zip_longest
-from operator import getitem
+from itertools import repeat
+from operator import add, getitem
 from typing import Iterator, Union
 
 from .candidates import CandidateSet, record
@@ -65,52 +65,48 @@ class AlignedPartition(record("AlignedPartition", "elements")):
 
 
 def find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
-    """Find the next token common to every candidate at or after ``start``.
+    """Find the next token common to every candidate at or after ``start``, or None.
 
-    Expands all candidate frontiers in lockstep, one position per round.
-    After each round, any token present in every candidate's window so far
-    qualifies; a token's position within a window is its earliest occurrence
-    there.  When several tokens qualify in the same round the one with the
-    smallest total pointer advance wins, then the one occurring earliest in
-    candidate 0.  Frontiers that reach the end of their candidate stop
-    growing but their windows remain live.
+    Specified as lockstep rounds: all frontiers advance one position per
+    round, and any token then in every candidate's window so far qualifies,
+    at its earliest position in each.  Ties within a round go to the least
+    total advance, then the earliest in candidate 0.  A frontier at its
+    candidate's end stops, but its window stays live.
 
-    Returns None when every frontier is exhausted without a common token.
+    The rounds are not run: a token qualifies in the round of its largest
+    advance, so the winner is the common token with the least (largest
+    advance, total advance, advance in candidate 0).  Tokens in every window
+    ``s[p:p + w]`` beat all others, so only they are ranked; ``w`` starts at
+    the candidate count and doubles while none is common, so the cost
+    follows the distance to the anchor, not the length of the tails.
     """
     seqs = [c.tokens for c in cset.candidates]
-    windows = [s[p:] for s, p in zip(seqs, start)]
-    # a window that starts at its candidate's end never grows, so no token
-    # can ever be seen in every window
-    if not all(windows):
-        return None
-    full = (1 << len(seqs)) - 1
-    # masks[tok] has bit j set once tok is in candidate j's window.  An
-    # exhausted frontier yields _END, whose mask never fills: the rounds stop
-    # when the last frontier is exhausted.
-    masks: dict = {}
-    get = masks.get
-    for row in zip_longest(*windows, fillvalue=_END):
-        qualified = []
-        bit = 1
-        for tok in row:
-            mask = get(tok, 0) | bit
-            masks[tok] = mask
-            bit <<= 1
-            if mask == full and tok not in qualified:
-                qualified.append(tok)
-        if qualified:
-            # a token's earliest position in each window, found only for the winners
-            anchors = [(tok, tuple(map(tuple.index, seqs, repeat(tok), start)))
-                       for tok in qualified]
-            best = anchors[0] if len(anchors) == 1 else min(anchors, key=_advance_then_first)
-            return _new(Anchor, best)
+    width = len(seqs)
+    while width:  # a set without candidates has no common token
+        windows = [s[p:p + width] for s, p in zip(seqs, start)]
+        common = set(windows[-1]).intersection(*windows[:-1])
+        if len(common) == 1:
+            token = common.pop()
+            return _new(Anchor, (token, tuple(map(tuple.index, seqs, repeat(token), start))))
+        if common:
+            # window offsets are advances, and candidate 0's differ between tokens, so keys never
+            # tie; taken in candidate 0's order, past the best largest advance no token can win
+            first = windows[0]
+            best = (width,)  # every advance is below the width
+            for offset in sorted(map(first.index, common)):
+                if offset > best[0]:
+                    break
+                advances = tuple(map(tuple.index, windows, repeat(first[offset])))
+                key = (max(advances), sum(advances), advances)
+                if key < best:
+                    best = key
+            advances = best[2]
+            return _new(Anchor, (first[advances[0]], tuple(map(add, start, advances))))
+        # an empty tail shares no token; windows shorter than the width are whole tails
+        if not all(windows) or max(map(len, windows)) < width:
+            break
+        width *= 2
     return None
-
-
-def _advance_then_first(anchor: tuple[str, PointerVector]) -> tuple[int, int]:
-    # the start vector is fixed, so summed positions rank as summed advances
-    positions = anchor[1]
-    return sum(positions), positions[0]
 
 
 def partition(cset: CandidateSet) -> AlignedPartition:

@@ -163,7 +163,10 @@ def ngram_score(
 
     The same arithmetic as ``NGramModel.probability``, in the same order, so
     the scores are bit-identical to taking the log of it token by token.
+    Raises ValueError when ``score_floor`` is above zero or NaN.
     """
+    if not score_floor <= 0:
+        raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
     n = model.order
     padded = (START_SYMBOL,) * (n - 1) + tuple(tokens)
     # contexts[i] is padded[i : i + n - 1]; an order-1 model has empty contexts

@@ -1,7 +1,7 @@
 """The fusion kernel against verbatim copies of its previous version.
 
-``find_next_anchor`` keeps one token -> bitmask dict and finds only the
-winners' positions, and ``partition``, ``validate``, ``rescore_set`` and
+``find_next_anchor`` ranks only the tokens common to windows that double
+until one is found, and ``partition``, ``validate``, ``rescore_set`` and
 ``select_segment`` build their records without the record constructors.
 These tests check that each returns equal records (compared by ``repr`` as
 well, so an int where a float was shows), raises the same exception class
@@ -12,7 +12,10 @@ Sets are small and repetitive: k 1-6, a vocabulary of 2-7 tokens and
 lengths 1-30, so anchors, adjacent duplicates, frontiers that run out
 before others, and rounds in which several tokens qualify at once are all
 common.  Score values come from a short list, so equal window means (and
-with them the lowest-index tie rule) occur too.
+with them the lowest-index tie rule) occur too.  Such sets rarely need more
+than the anchor search's first window, so one more test gives each of up to
+10 candidates a run of its own tokens, up to 60 long, before the tokens they
+share, and checks the search there against the seed's copy as well.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from helpers import (
     previous_rescore_set,
     previous_select_segment,
     previous_validate,
+    reference_find_next_anchor,
 )
 
 FLOOR = DEFAULT_SCORE_FLOOR
@@ -88,6 +92,12 @@ SAME_ROUND_TIE = _set("abx", "bay")
 SAME_ROUND_ADVANCE = _set("xba", "yab", "baz")
 # candidate 1 runs out after one token; its window stays live
 EXHAUSTED_FRONTIER = _set("xyza", "a", "qqqqa")
+# the only common token lies past four times the first window (the candidate
+# count, 3), so the window doubles three times
+FAR_ONLY_COMMON = _set("pqpqpqpqpqpqpqa", "rsrsrsrsrsrsrsa", "tutututututututa")
+# "a" and "b" qualify in the same round, past twice the first window, with
+# the same total advance; the tie goes to "a", earlier in candidate 0
+FAR_SAME_ROUND_TIE = _set("xyzab", "uvwba")
 
 
 @settings(max_examples=400, deadline=None)
@@ -111,6 +121,49 @@ def test_same_round_examples_pick_by_advance_then_candidate_zero():
     assert find_next_anchor(SAME_ROUND_TIE, (0, 0)).token == "a"
     assert tuple(find_next_anchor(SAME_ROUND_ADVANCE, (0, 0, 0))) == ("b", (1, 2, 0))
     assert find_next_anchor(EXHAUSTED_FRONTIER, (0, 0, 0)).positions == (3, 0, 4)
+    assert tuple(find_next_anchor(FAR_ONLY_COMMON, (0, 0, 0))) == ("a", (14, 14, 15))
+    assert tuple(find_next_anchor(FAR_SAME_ROUND_TIE, (0, 0))) == ("a", (3, 4))
+
+
+@st.composite
+def far_anchor_cases(draw):
+    """A set whose common tokens lie past twice the first window, and a start.
+
+    Candidate j opens with a run of its own tokens ("j0", "j1", "j2"), one
+    candidate's run at least twice the candidate count, then draws from a
+    few shared tokens; mostly one of them, "e", is in every candidate.
+    Starts lie within the runs, so the anchor stays far; now and then one
+    lies anywhere, up to the candidate's end.
+    """
+    k = draw(st.integers(min_value=1, max_value=10))
+    far = draw(st.integers(min_value=0, max_value=k - 1))
+    meet = draw(st.integers(0, 3)) > 0
+    candidates, runs = [], []
+    for j in range(k):
+        run = draw(st.integers(min_value=2 * k if j == far else 0, max_value=58))
+        shared = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=59 - run))
+        if meet:
+            shared.insert(draw(st.integers(min_value=0, max_value=len(shared))), "e")
+        candidates.append([f"{j}{i % 3}" for i in range(run)] + shared)
+        runs.append(run)
+    ends = runs if draw(st.integers(0, 4)) else [len(c) for c in candidates]
+    start = tuple(draw(st.integers(min_value=0, max_value=end)) for end in ends)
+    if draw(st.booleans()):
+        start = (0,) * k
+    return _set(*candidates), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_anchor_cases())
+@example((_set(), ()))
+@example((_set("ab", "ba"), (2, 0)))
+@example((FAR_ONLY_COMMON, (0, 0, 0)))
+@example((FAR_SAME_ROUND_TIE, (0, 0)))
+def test_find_next_anchor_past_the_first_window_matches_previous_and_reference(case):
+    cset, start = case
+    got = ident(find_next_anchor(cset, start))
+    assert got == ident(previous_find_next_anchor(cset, start))
+    assert got == ident(reference_find_next_anchor(cset, start))
 
 
 @settings(max_examples=400, deadline=None)

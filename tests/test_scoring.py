@@ -364,6 +364,19 @@ def test_ngram_scorer_rejects_a_floor_above_zero_or_nan(floor):
         NGramScorer(train_ngram([["a", "b"]], n=2), floor)
 
 
+@pytest.mark.parametrize("floor", [3.0, math.nan])
+def test_ngram_score_rejects_a_floor_above_zero_or_nan(floor):
+    # a floor of 3.0 used to return [3.0, 3.0] here, and NaN [nan, nan]
+    with pytest.raises(ValueError, match="score_floor must be <= 0"):
+        ngram_score(train_ngram([["a", "b"]], n=2), ["a", "q"], floor)
+
+
+def test_ngram_score_takes_a_floor_of_minus_infinity_and_of_zero():
+    model = train_ngram([["a", "b"]], n=2)
+    assert ngram_score(model, ["a", "q"], -math.inf) == ngram_score(model, ["a", "q"], -1e300)
+    assert ngram_score(model, ["a", "q"], 0.0) == [0.0, 0.0]
+
+
 class TestNGramScorerMemo:
     def test_repeat_is_scored_once_whatever_the_source(self, ngram_score_calls):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
