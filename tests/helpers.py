@@ -10,8 +10,6 @@ import re
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from itertools import compress
-from operator import getitem, ne
 
 from candidate_soups import BleuAccumulator, CandidateSet, CdsError, FusionResult, ScoredCandidate
 from candidate_soups.alignment import AlignedPartition, Anchor, DivergenceRegion, PointerVector
@@ -144,24 +142,16 @@ def lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return prev[-1]
 
 
-def dedup_by_runs(tokens, scores):
-    """Run-length scanning reference for adjacent-duplicate removal."""
-    out_tokens, out_scores = [], []
-    i = 0
-    while i < len(tokens):
-        j = i
-        while j + 1 < len(tokens) and tokens[j + 1] == tokens[i]:
-            j += 1
-        out_tokens.append(tokens[i])
-        out_scores.append(scores[j])  # last occurrence of the run
-        i = j + 1
-    return out_tokens, out_scores
-
-
 # --- frozen reference implementations --------------------------------------
-# Verbatim copies of the straightforward per-token versions of the hot path.
-# The library's versions are optimized; property tests check that both give
-# equal results, so these must not be "improved".
+# One copy per kernel function; property tests check that the library's
+# optimized version gives equal results, so these must not be "improved".
+# From the seed, the straightforward per-token versions:
+# remove_adjacent_duplicates, find_next_anchor (the lockstep rounds that
+# specify the anchor search), partition and candidate_soups.  From the kernel
+# as it stood before the bitmask anchor search: validate (the only copy that
+# takes ``warn``), rescore_set and select_segment.  Verbatim, except that the
+# copies call each other and the clamp warning goes to the library's logger
+# by name.
 
 
 def reference_remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
@@ -180,18 +170,36 @@ def reference_remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandida
 
 _WHITESPACE = re.compile(r"\s")
 
+_REFERENCE_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
+
 
 def _reference_check_token(tok: str, where: str) -> None:
     if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
         raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
 
 
-def reference_validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FLOOR) -> CandidateSet:
+def _reference_check_tokens(tokens: tuple[str, ...], where: str) -> None:
+    # Fast path: str.split() and re's \s agree on what whitespace is, and
+    # splitting yields only non-empty, whitespace-free pieces, so the round
+    # trip is lossless exactly when every token is valid.
+    try:
+        if " ".join(tokens).split() == list(tokens):
+            return
+    except TypeError:  # a token that is not a string
+        pass
+    for tok in tokens:
+        _reference_check_token(tok, where)
+
+
+def reference_validate(
+    cset: CandidateSet,
+    score_floor: float = DEFAULT_SCORE_FLOOR,
+    warn: Callable[[str], object] | None = None,
+) -> CandidateSet:
     if not cset.candidates:
         raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
     if cset.source is not None:
-        for tok in cset.source:
-            _reference_check_token(tok, f"set {cset.id!r} source")
+        _reference_check_tokens(cset.source, f"set {cset.id!r} source")
 
     clamped = 0
     out: list[ScoredCandidate] = []
@@ -203,8 +211,11 @@ def reference_validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FL
             raise LengthMismatch(
                 f"{where}: {len(cand.tokens)} tokens vs {len(cand.scores)} scores"
             )
-        for tok in cand.tokens:
-            _reference_check_token(tok, where)
+        _reference_check_tokens(cand.tokens, where)
+        scores = cand.scores
+        if max(scores) <= 0 and min(scores) >= score_floor and not any(map(math.isnan, scores)):
+            out.append(cand)
+            continue
         fixed: list[float] = []
         touched = False
         for score in cand.scores:
@@ -219,11 +230,30 @@ def reference_validate(cset: CandidateSet, score_floor: float = DEFAULT_SCORE_FL
         out.append(ScoredCandidate(cand.tokens, tuple(fixed)) if touched else cand)
 
     if clamped:
-        logging.getLogger("candidate_soups.candidates").warning(
-            "clamped %d score(s) below %s in candidate set %s", clamped, score_floor, cset.id
-        )
+        if warn is not None:
+            warn(_REFERENCE_CLAMP_WARNING % (clamped, score_floor, cset.id))
+        else:
+            logging.getLogger("candidate_soups.candidates").warning(
+                _REFERENCE_CLAMP_WARNING, clamped, score_floor, cset.id
+            )
         return CandidateSet(cset.id, tuple(out), cset.source)
     return cset
+
+
+def reference_rescore_set(cset: CandidateSet, scorer, dedup: bool = True) -> CandidateSet:
+    out: list[ScoredCandidate] = []
+    for idx, cand in enumerate(cset.candidates):
+        if dedup:
+            cand = reference_remove_adjacent_duplicates(cand)
+        scores = scorer.rescore(cset.source, cand)
+        if len(scores) != len(cand.tokens):
+            raise ScorerFailure(
+                f"set {cset.id!r} candidate {idx}: scorer returned {len(scores)} "
+                f"scores for {len(cand.tokens)} tokens"
+            )
+        # a scorer that hands back the stored scores leaves the candidate as is
+        out.append(cand if scores is cand.scores else ScoredCandidate(cand.tokens, tuple(scores)))
+    return CandidateSet(cset.id, tuple(out), cset.source)
 
 
 def reference_find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
@@ -286,6 +316,21 @@ def reference_partition(cset: CandidateSet) -> AlignedPartition:
         pointers = list(end)
 
     return AlignedPartition(tuple(elements))
+
+
+def _reference_window(cand_scores: Sequence[float], start: int, end: int) -> Sequence[float]:
+    # the segment plus one bounding anchor token on each side, clamped at the
+    # sequence edges (slicing clamps the upper bound); never empty
+    return cand_scores[start - 1 if start else 0 : end + 1]
+
+
+def reference_select_segment(
+    region: DivergenceRegion, scores: Sequence[Sequence[float]]
+) -> RegionChoice:
+    windows = map(_reference_window, scores, region.start, region.end)
+    segment_scores = tuple([math.fsum(w) / len(w) for w in windows])
+    chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
+    return RegionChoice(chosen, segment_scores, region.segments[chosen])
 
 
 def reference_candidate_soups(
@@ -449,197 +494,3 @@ def reference_bleu_add(acc: BleuAccumulator, hypothesis, reference) -> None:
             min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
         )
         acc.total[n - 1] += len(hypothesis) - n + 1
-
-
-# --- the fusion kernel as it stood before the bitmask anchor search -------------
-# Before the anchor search kept one token -> bitmask dict and the kernel built
-# its records with tuple.__new__: per-candidate first-seen dicts plus a window
-# count, record constructors, a where string formatted for every candidate,
-# and a " ".join(...).split() token check.  Verbatim, except that the copies
-# call each other, the partition's one-slot memo is left out (a hit returns an
-# equal partition), and the clamp warning goes to the library's logger by
-# name.  Equivalence tests compare the library against these.
-
-_PREVIOUS_END = object()  # stands past the last token of a candidate
-
-_PREVIOUS_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
-
-
-def previous_find_next_anchor(cset: CandidateSet, start: PointerVector) -> Anchor | None:
-    seqs = [c.tokens for c in cset.candidates]
-    k = len(seqs)
-    lens = [len(s) for s in seqs]
-    # a window that starts at its candidate's end never grows, so no token
-    # can ever be seen in every window
-    for p, n in zip(start, lens):
-        if p >= n:
-            return None
-    # first_seen[j] maps token -> earliest absolute index in candidate j's window
-    first_seen: list[dict[str, int]] = [{} for _ in range(k)]
-    window_count: dict[str, int] = {}
-    frontier = list(start)
-
-    grew = True
-    while grew:
-        grew = False
-        qualified: list[str] = []
-        for j in range(k):
-            if frontier[j] >= lens[j]:
-                continue
-            tok = seqs[j][frontier[j]]
-            seen = first_seen[j]
-            if tok not in seen:
-                seen[tok] = frontier[j]
-                count = window_count.get(tok, 0) + 1
-                window_count[tok] = count
-                if count == k:
-                    qualified.append(tok)
-            frontier[j] += 1
-            grew = True
-        if qualified:
-            best = qualified[0]
-            if len(qualified) > 1:
-                best = min(
-                    qualified,
-                    key=lambda t: (
-                        sum(first_seen[j][t] - start[j] for j in range(k)),
-                        first_seen[0][t],
-                    ),
-                )
-            return Anchor(best, tuple([fs[best] for fs in first_seen]))
-    return None
-
-
-def previous_partition(cset: CandidateSet) -> AlignedPartition:
-    seqs = tuple([c.tokens for c in cset.candidates])
-    k = len(seqs)
-    lens = tuple(len(s) for s in seqs)
-    # a sentinel past each end is the head of an exhausted candidate
-    padded = [s + (_PREVIOUS_END,) for s in seqs]
-    pointers = (0,) * k
-    elements: list = []
-
-    while k:  # a set without candidates has no elements
-        heads = list(map(getitem, padded, pointers))
-        head = heads[0]
-        if heads.count(head) == k:
-            if head is _PREVIOUS_END:  # every pointer is at its candidate's end
-                break
-            elements.append(Anchor(head, pointers))
-            pointers = tuple([p + 1 for p in pointers])
-            continue
-        nxt = previous_find_next_anchor(cset, pointers)
-        end = nxt.positions if nxt is not None else lens
-        segments = tuple([s[a:b] for s, a, b in zip(seqs, pointers, end)])
-        elements.append(DivergenceRegion(pointers, end, segments))
-        pointers = end
-
-    return AlignedPartition(tuple(elements))
-
-
-def _previous_check_token(tok: str, where: str) -> None:
-    if not isinstance(tok, str) or not tok or _WHITESPACE.search(tok):
-        raise InvalidToken(f"{where}: token {tok!r} must be a non-empty string without whitespace")
-
-
-def _previous_check_tokens(tokens: tuple[str, ...], where: str) -> None:
-    # Fast path: str.split() and re's \s agree on what whitespace is, and
-    # splitting yields only non-empty, whitespace-free pieces, so the round
-    # trip is lossless exactly when every token is valid.
-    try:
-        if " ".join(tokens).split() == list(tokens):
-            return
-    except TypeError:  # a token that is not a string
-        pass
-    for tok in tokens:
-        _previous_check_token(tok, where)
-
-
-def previous_validate(
-    cset: CandidateSet,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
-    warn: Callable[[str], object] | None = None,
-) -> CandidateSet:
-    if not cset.candidates:
-        raise EmptyCandidate(f"candidate set {cset.id!r} has no candidates")
-    if cset.source is not None:
-        _previous_check_tokens(cset.source, f"set {cset.id!r} source")
-
-    clamped = 0
-    out: list[ScoredCandidate] = []
-    for idx, cand in enumerate(cset.candidates):
-        where = f"set {cset.id!r} candidate {idx}"
-        if not cand.tokens:
-            raise EmptyCandidate(f"{where} has no tokens")
-        if len(cand.tokens) != len(cand.scores):
-            raise LengthMismatch(
-                f"{where}: {len(cand.tokens)} tokens vs {len(cand.scores)} scores"
-            )
-        _previous_check_tokens(cand.tokens, where)
-        scores = cand.scores
-        if max(scores) <= 0 and min(scores) >= score_floor and not any(map(math.isnan, scores)):
-            out.append(cand)
-            continue
-        fixed: list[float] = []
-        touched = False
-        for score in cand.scores:
-            if math.isnan(score) or score > 0:
-                raise PositiveScore(f"{where}: score {score!r} must be <= 0")
-            if score < score_floor:
-                fixed.append(score_floor)
-                touched = True
-                clamped += 1
-            else:
-                fixed.append(score)
-        out.append(ScoredCandidate(cand.tokens, tuple(fixed)) if touched else cand)
-
-    if clamped:
-        if warn is not None:
-            warn(_PREVIOUS_CLAMP_WARNING % (clamped, score_floor, cset.id))
-        else:
-            logging.getLogger("candidate_soups.candidates").warning(
-                _PREVIOUS_CLAMP_WARNING, clamped, score_floor, cset.id
-            )
-        return CandidateSet(cset.id, tuple(out), cset.source)
-    return cset
-
-
-def previous_remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandidate:
-    tokens = cand.tokens
-    # keep[i]: token i ends its run (the next token differs, or there is none)
-    keep = list(map(ne, tokens, tokens[1:]))
-    if all(keep):
-        return cand
-    keep.append(True)
-    return ScoredCandidate(tuple(compress(tokens, keep)), tuple(compress(cand.scores, keep)))
-
-
-def previous_rescore_set(cset: CandidateSet, scorer, dedup: bool = True) -> CandidateSet:
-    out: list[ScoredCandidate] = []
-    for idx, cand in enumerate(cset.candidates):
-        if dedup:
-            cand = previous_remove_adjacent_duplicates(cand)
-        scores = scorer.rescore(cset.source, cand)
-        if len(scores) != len(cand.tokens):
-            raise ScorerFailure(
-                f"set {cset.id!r} candidate {idx}: scorer returned {len(scores)} "
-                f"scores for {len(cand.tokens)} tokens"
-            )
-        # a scorer that hands back the stored scores leaves the candidate as is
-        out.append(cand if scores is cand.scores else ScoredCandidate(cand.tokens, tuple(scores)))
-    return CandidateSet(cset.id, tuple(out), cset.source)
-
-
-def _previous_window(cand_scores: Sequence[float], start: int, end: int) -> Sequence[float]:
-    # the segment plus one bounding anchor token on each side, clamped at the
-    # sequence edges (slicing clamps the upper bound); never empty
-    return cand_scores[start - 1 if start else 0 : end + 1]
-
-
-def previous_select_segment(
-    region: DivergenceRegion, scores: Sequence[Sequence[float]]
-) -> RegionChoice:
-    windows = map(_previous_window, scores, region.start, region.end)
-    segment_scores = tuple([math.fsum(w) / len(w) for w in windows])
-    chosen = segment_scores.index(max(segment_scores))  # index() finds the first of any tie
-    return RegionChoice(chosen, segment_scores, region.segments[chosen])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from candidate_soups import CandidateSet, ScoredCandidate, validate
 from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
-from helpers import dedup_by_runs
+from helpers import reference_remove_adjacent_duplicates
 
 
 def cand(tokens, scores):
@@ -28,9 +28,9 @@ class TestRemoveAdjacentDuplicates:
         tokens = ["x", "x", "x", "y", "x"]
         scores = [-1.0, -2.0, -3.0, -4.0, -5.0]
         out = remove_adjacent_duplicates(cand(tokens, scores))
-        expect_tokens, expect_scores = dedup_by_runs(tokens, scores)
-        assert list(out.tokens) == expect_tokens == ["x", "y", "x"]
-        assert list(out.scores) == expect_scores == [-3.0, -4.0, -5.0]
+        assert out == reference_remove_adjacent_duplicates(cand(tokens, scores))
+        assert out.tokens == ("x", "y", "x")
+        assert out.scores == (-3.0, -4.0, -5.0)
 
     def test_final_token_always_retained(self):
         out = remove_adjacent_duplicates(cand(["a", "b", "b"], [-1.0, -2.0, -3.0]))
@@ -64,14 +64,6 @@ def test_dedup_no_adjacent_equal_and_token_set_preserved(candidate):
     assert set(out.tokens) == set(candidate.tokens)
     assert len(out) <= len(candidate)
     assert len(out.tokens) == len(out.scores)
-
-
-@given(scored_candidates())
-def test_dedup_agrees_with_run_scanner(candidate):
-    out = remove_adjacent_duplicates(candidate)
-    expect_tokens, expect_scores = dedup_by_runs(candidate.tokens, candidate.scores)
-    assert list(out.tokens) == expect_tokens
-    assert list(out.scores) == expect_scores
 
 
 class TestValidate:

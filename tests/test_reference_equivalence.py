@@ -1,15 +1,32 @@
-"""The optimized hot path against frozen per-token reference implementations.
+"""The optimized kernel against one frozen reference copy per function.
 
-Sets are small and repetitive on purpose: a vocabulary of 2-6 tokens makes
-repeated and adjacent duplicate tokens common, k runs from 1 to 7 and
-candidate lengths differ (down to a single token), so anchors, exhausted
-candidates and multi-token ties all occur.  The n-gram scorer and BLEU
-counting are checked the same way: small vocabularies, so that contexts
-repeat and clipping is common, plus tokens and contexts never seen.  The
-partition memo is checked with call sequences that repeat inputs among near
-misses (equal tokens under other ids and scores), and under threads; BLEU
-counting with one hypothesis against other references and other orders,
-and through one ``Reference`` per record as ``cds compare`` uses it.
+Each test checks that the library returns equal records (compared by
+``repr`` as well, so an int where a float was shows), raises the same
+exception class with the same message, makes the same ``warn`` calls, logs
+the same warnings, and returns its input itself exactly when the
+``reference_*`` copy in ``helpers`` does.
+
+``candidate_sets`` draws small, repetitive sets: a vocabulary of 2-7 tokens,
+k 1-7 and lengths 1-30, so anchors, adjacent duplicates, frontiers that run
+out before others, and rounds in which several tokens qualify at once are
+all common.  Each set takes its scores either from a short list, so equal
+window means (and with them the lowest-index tie rule) occur, or from
+[-40, 0] plus 0.0, -0.0, the floor and -inf, so clamping occurs.  Ids are
+"p" and "q r".  ``validate`` gets three kinds of set: these; these with NaN
+and positive scores too; and sets whose tokens include Unicode whitespace,
+empty and non-string tokens as well, where a candidate now and then has one
+score too many.  Any of them may have a source.  Such sets rarely need more
+than the anchor search's first window, so ``far_anchor_cases`` gives each of
+up to 10 candidates a run of its own tokens, up to 60 long, before the
+tokens they share.
+
+The n-gram scorer and BLEU counting are checked the same way: small
+vocabularies, so that contexts repeat and clipping is common, plus tokens
+and contexts never seen.  The partition memo is checked with call sequences
+that repeat inputs among near misses (equal tokens under other ids and
+scores), and under threads; BLEU counting with one hypothesis against other
+references and other orders, and through one ``Reference`` per record as
+``cds compare`` uses it.
 """
 
 from __future__ import annotations
@@ -23,9 +40,10 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from candidate_soups import (
     BleuAccumulator,
     CandidateSet,
@@ -38,7 +56,16 @@ from candidate_soups.alignment import find_next_anchor, partition
 from candidate_soups.bleu import Reference
 from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
 from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
-from candidate_soups.scoring import END_SYMBOL, START_SYMBOL, ngram_score
+from candidate_soups.fusion import select_segment
+from candidate_soups.scoring import (
+    END_SYMBOL,
+    START_SYMBOL,
+    NGramScorer,
+    Scorer,
+    SelfScorer,
+    ngram_score,
+    rescore_set,
+)
 from helpers import (
     random_candidate_set,
     reference_bleu_add,
@@ -47,28 +74,59 @@ from helpers import (
     reference_ngram_score,
     reference_partition,
     reference_remove_adjacent_duplicates,
+    reference_rescore_set,
+    reference_select_segment,
     reference_validate,
 )
 
 FLOOR = DEFAULT_SCORE_FLOOR
+VOCAB = "abcdefg"
+# few distinct values, so equal window means are common
+TIED_SCORES = st.sampled_from([-0.5, -1.0, -2.0, -0.25, 0.0])
+# valid scores; -inf and values below a floor are clamped
 SCORES = st.one_of(
     st.floats(min_value=-40.0, max_value=0.0),
     st.sampled_from([0.0, -0.0, FLOOR, -math.inf]),
 )
+# NaN and positive scores are errors
+ANY_SCORES = st.one_of(
+    st.floats(min_value=-40.0, max_value=0.0),
+    st.sampled_from([0.0, -0.0, FLOOR, -math.inf, math.nan, math.inf, 0.5, 1e-300, -31.0]),
+)
+# mostly valid tokens; whitespace (Unicode included), empty and non-string tokens are errors
+ANY_TOKENS = st.sampled_from([
+    "a", "b", "c", "a", "b", "\u00e9", "", " ", "\u00a0", "\u2003", "\x1c", "x\ty", 7, None,
+    "a b", "c\td", "e ",
+])
+
+
+def ident(record) -> tuple:
+    """A record's value and its repr, which tells a float from an equal int."""
+    return record, repr(record)
 
 
 @st.composite
-def candidate_sets(draw, scores=SCORES, tokens=None):
-    vocab_size = draw(st.integers(min_value=2, max_value=6))
-    token = tokens if tokens is not None else st.sampled_from("abcdef"[:vocab_size])
+def candidate_sets(draw, tokens=None, scores=None, sources=False):
+    vocab = VOCAB[: draw(st.integers(min_value=2, max_value=7))]
+
+    def token_seq(min_size, max_size):
+        if tokens is None:  # one-character tokens: a string draws faster than a list
+            return tuple(draw(st.text(vocab, min_size=min_size, max_size=max_size)))
+        return tuple(draw(st.lists(tokens, min_size=min_size, max_size=max_size)))
+
+    if scores is None:
+        scores = draw(st.sampled_from([TIED_SCORES, SCORES]))
     k = draw(st.integers(min_value=1, max_value=7))
     cands = []
     for _ in range(k):
-        length = draw(st.integers(min_value=1, max_value=12))
-        toks = draw(st.lists(token, min_size=length, max_size=length))
-        vals = draw(st.lists(scores, min_size=length, max_size=length))
-        cands.append(ScoredCandidate(tuple(toks), tuple(vals)))
-    return CandidateSet("p", tuple(cands))
+        n = draw(st.integers(min_value=1, max_value=30))
+        toks = token_seq(n, n)
+        # with free tokens, now and then one score too many
+        m = n + (tokens is not None and draw(st.integers(0, 15)) == 0)
+        vals = draw(st.lists(scores, min_size=m, max_size=m))
+        cands.append(ScoredCandidate(toks, vals))
+    source = token_seq(0, 4) if sources and draw(st.booleans()) else None
+    return CandidateSet(draw(st.sampled_from(["p", "q r"])), tuple(cands), source)
 
 
 @contextmanager
@@ -89,94 +147,194 @@ def captured_warnings():
 
 
 def outcome(fn, *args):
-    """(result, None) or (None, (exception class, message)), plus warning texts."""
+    """The result's ``ident`` (None's after an exception), whether the result
+    is the first argument itself, the exception class and message (or None),
+    and the logged warnings."""
     with captured_warnings() as records:
         try:
             result, error = fn(*args), None
         except Exception as exc:  # noqa: BLE001 - compared, not handled
             result, error = None, (type(exc), str(exc))
-    return result, error, [r.getMessage() for r in records]
+    return ident(result), result is args[0], error, [r.getMessage() for r in records]
 
 
-@settings(max_examples=300, deadline=None)
-@given(candidate_sets())
-def test_partition_matches_reference(cset):
-    assert partition(cset).elements == reference_partition(cset).elements
-    deduped = CandidateSet(cset.id, tuple(map(remove_adjacent_duplicates, cset.candidates)))
-    assert partition(deduped).elements == reference_partition(deduped).elements
-
-
-@settings(max_examples=300, deadline=None)
-@given(candidate_sets(), st.data())
-def test_find_next_anchor_matches_reference(cset, data):
-    # start vectors include pointers at (and only at) a candidate's end
-    start = tuple(
-        data.draw(st.integers(min_value=0, max_value=len(c.tokens))) for c in cset.candidates
+def test_one_frozen_reference_per_kernel_function():
+    kernel = (
+        "find_next_anchor",
+        "partition",
+        "remove_adjacent_duplicates",
+        "validate",
+        "rescore_set",
+        "select_segment",
+        "candidate_soups",
+        "oracle_best",
+        "ngram_score",
+        "bleu_add",
     )
-    assert find_next_anchor(cset, start) == reference_find_next_anchor(cset, start)
+    names = vars(helpers)
+    assert {n for n in names if n.startswith("reference_")} == {f"reference_{f}" for f in kernel}
+    assert [n for n in names if "previous" in n.lower()] == []
+
+
+# --- the anchor search and the partition ------------------------------------------
+
+
+def _set(*token_lists: str) -> CandidateSet:
+    return CandidateSet(
+        "e", tuple(ScoredCandidate(tuple(t), (-1.0,) * len(t)) for t in token_lists)
+    )
+
+
+# "a" and "b" qualify in the same round with the same total advance; the tie
+# goes to "a", earlier in candidate 0
+SAME_ROUND_TIE = _set("abx", "bay")
+# "a" then "b" qualify in the same round; "b" advances less in total and wins
+SAME_ROUND_ADVANCE = _set("xba", "yab", "baz")
+# candidate 1 runs out after one token; its window stays live
+EXHAUSTED_FRONTIER = _set("xyza", "a", "qqqqa")
+# the only common token lies past four times the first window (the candidate
+# count, 3), so the window doubles three times
+FAR_ONLY_COMMON = _set("pqpqpqpqpqpqpqa", "rsrsrsrsrsrsrsa", "tutututututututa")
+# "a" and "b" qualify in the same round, past twice the first window, with
+# the same total advance; the tie goes to "a", earlier in candidate 0
+FAR_SAME_ROUND_TIE = _set("xyzab", "uvwba")
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_sets(), st.data())
+@example(SAME_ROUND_TIE, None)
+@example(SAME_ROUND_ADVANCE, None)
+@example(EXHAUSTED_FRONTIER, None)
+def test_find_next_anchor_matches_reference(cset, data):
+    starts = [(0,) * len(cset)]
+    if data is not None:
+        # start vectors include pointers at (and only at) a candidate's end
+        starts.append(tuple(
+            data.draw(st.integers(min_value=0, max_value=len(c.tokens))) for c in cset.candidates
+        ))
+    for start in starts:
+        want = reference_find_next_anchor(cset, start)
+        assert ident(find_next_anchor(cset, start)) == ident(want)
+
+
+def test_same_round_examples_pick_by_advance_then_candidate_zero():
+    assert find_next_anchor(SAME_ROUND_TIE, (0, 0)).token == "a"
+    assert tuple(find_next_anchor(SAME_ROUND_ADVANCE, (0, 0, 0))) == ("b", (1, 2, 0))
+    assert find_next_anchor(EXHAUSTED_FRONTIER, (0, 0, 0)).positions == (3, 0, 4)
+    assert tuple(find_next_anchor(FAR_ONLY_COMMON, (0, 0, 0))) == ("a", (14, 14, 15))
+    assert tuple(find_next_anchor(FAR_SAME_ROUND_TIE, (0, 0))) == ("a", (3, 4))
+
+
+@st.composite
+def far_anchor_cases(draw):
+    """A set whose common tokens lie past twice the first window, and a start.
+
+    Candidate j opens with a run of its own tokens ("j0", "j1", "j2"), one
+    candidate's run at least twice the candidate count, then draws from a
+    few shared tokens; mostly one of them, "e", is in every candidate.
+    Starts lie within the runs, so the anchor stays far; now and then one
+    lies anywhere, up to the candidate's end.
+    """
+    k = draw(st.integers(min_value=1, max_value=10))
+    far = draw(st.integers(min_value=0, max_value=k - 1))
+    meet = draw(st.integers(0, 3)) > 0
+    candidates, runs = [], []
+    for j in range(k):
+        run = draw(st.integers(min_value=2 * k if j == far else 0, max_value=58))
+        shared = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=59 - run))
+        if meet:
+            shared.insert(draw(st.integers(min_value=0, max_value=len(shared))), "e")
+        candidates.append([f"{j}{i % 3}" for i in range(run)] + shared)
+        runs.append(run)
+    ends = runs if draw(st.integers(0, 4)) else [len(c) for c in candidates]
+    start = tuple(draw(st.integers(min_value=0, max_value=end)) for end in ends)
+    if draw(st.booleans()):
+        start = (0,) * k
+    return _set(*candidates), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_anchor_cases())
+@example((_set(), ()))
+@example((_set("ab", "ba"), (2, 0)))
+@example((FAR_ONLY_COMMON, (0, 0, 0)))
+@example((FAR_SAME_ROUND_TIE, (0, 0)))
+def test_find_next_anchor_past_the_first_window_matches_reference(case):
+    cset, start = case
+    assert ident(find_next_anchor(cset, start)) == ident(reference_find_next_anchor(cset, start))
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_sets())
+@example(SAME_ROUND_TIE)
+@example(SAME_ROUND_ADVANCE)
+@example(EXHAUSTED_FRONTIER)
+def test_partition_matches_reference(cset):
+    deduped = CandidateSet(cset.id, tuple(map(remove_adjacent_duplicates, cset.candidates)))
+    for s in (cset, deduped):
+        got = partition(s)
+        assert ident(got) == ident(reference_partition(s))
+        assert partition(s) is got  # the one-slot memo still answers a repeat
+
+
+# --- dedup, validation and rescoring -------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(candidate_sets())
 def test_dedup_matches_reference(cset):
     for cand in cset.candidates:
-        got = remove_adjacent_duplicates(cand)
-        want = reference_remove_adjacent_duplicates(cand)
-        assert got == want
-        assert (got is cand) == (want is cand)
+        got = outcome(remove_adjacent_duplicates, cand)
+        assert got == outcome(reference_remove_adjacent_duplicates, cand)
 
 
-@settings(max_examples=300, deadline=None)
-@given(candidate_sets())
-def test_candidate_soups_matches_reference_pipeline(cset):
-    got = candidate_soups(cset)
-    want = reference_candidate_soups(cset)
-    assert got.tokens == want.tokens
-    deduped = CandidateSet(
-        cset.id, tuple(map(reference_remove_adjacent_duplicates, cset.candidates))
-    )
-    anchors = len(list(reference_partition(deduped).anchors()))
-    assert len(got.tokens) == anchors + sum(len(choice.chosen_tokens) for choice in got.trace)
-    assert got.trace == want.trace  # float scores compared with ==
+# almost every set with invalid tokens fails on one, so valid sets, clamped or
+# passed through, and sets that fail only on a score are drawn apart
+VALIDATE_SETS = st.one_of(
+    candidate_sets(sources=True),
+    candidate_sets(scores=ANY_SCORES, sources=True),
+    candidate_sets(tokens=ANY_TOKENS, scores=ANY_SCORES, sources=True),
+)
 
 
-BAD_TOKENS = st.sampled_from(["a", "b", "", "a b", "c\td", " ", "e ", "\x1c", 7])
-BAD_SCORES = st.one_of(SCORES, st.sampled_from([math.nan, math.inf, 1e-300, 0.5]))
+@settings(max_examples=500, deadline=None)
+@given(
+    VALIDATE_SETS,
+    st.sampled_from([FLOOR, -5.0, -5, -math.inf]),
+    st.booleans(),
+)
+@example(_set("ab", "c "), FLOOR, True)
+@example(_set("ab", "\x1c"), FLOOR, False)
+def test_validate_matches_reference(cset, floor, with_callback):
+    results = []
+    for fn in (validate, reference_validate):
+        calls: list[str] = []
+        results.append((outcome(fn, cset, floor, calls.append if with_callback else None), calls))
+    assert results[0] == results[1]
 
 
-@settings(max_examples=300, deadline=None)
-@given(candidate_sets(scores=BAD_SCORES, tokens=BAD_TOKENS), st.sampled_from([FLOOR, -5.0]))
-def test_validate_matches_reference(cset, floor):
-    got, got_error, got_warnings = outcome(validate, cset, floor)
-    want, want_error, want_warnings = outcome(reference_validate, cset, floor)
-    assert got_error == want_error
-    assert got_warnings == want_warnings
-    assert got == want
-    assert (got is cset) == (want is cset)
-
-
-def _set(tokens, scores, source=None):
+def _single(tokens, scores, source=None):
     return CandidateSet("e", (ScoredCandidate(tuple(tokens), tuple(scores)),), source)
 
 
 @pytest.mark.parametrize(
     "cset, error",
     [
-        (_set(["a", ""], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", "x y"], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", "x\ty"], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", "x\u00a0y"], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", "x\u2003y"], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", "x\x1cy"], [-1.0, -1.0]), InvalidToken),
-        (_set(["", "a b"], [-1.0, -1.0]), InvalidToken),  # joins and splits to ["a", "b"]
-        (_set(["a", 3], [-1.0, -1.0]), InvalidToken),
-        (_set(["a", None], [-1.0, -1.0]), InvalidToken),
-        (_set(["a"], [-1.0], source=["s", "t u"]), InvalidToken),
-        (_set(["a", "b"], [-1.0, math.nan]), PositiveScore),
-        (_set(["a", "b"], [-1.0, math.inf]), PositiveScore),
-        (_set(["a", "b"], [-1.0, 1e-300]), PositiveScore),
-        (_set([], []), EmptyCandidate),
-        (_set(["a", "b"], [-1.0]), LengthMismatch),
+        (_single(["a", ""], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", "x y"], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", "x\ty"], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", "x\u00a0y"], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", "x\u2003y"], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", "x\x1cy"], [-1.0, -1.0]), InvalidToken),
+        (_single(["", "a b"], [-1.0, -1.0]), InvalidToken),  # joins and splits to ["a", "b"]
+        (_single(["a", 3], [-1.0, -1.0]), InvalidToken),
+        (_single(["a", None], [-1.0, -1.0]), InvalidToken),
+        (_single(["a"], [-1.0], source=["s", "t u"]), InvalidToken),
+        (_single(["a", "b"], [-1.0, math.nan]), PositiveScore),
+        (_single(["a", "b"], [-1.0, math.inf]), PositiveScore),
+        (_single(["a", "b"], [-1.0, 1e-300]), PositiveScore),
+        (_single([], []), EmptyCandidate),
+        (_single(["a", "b"], [-1.0]), LengthMismatch),
     ],
 )
 def test_validate_rejects_like_reference(cset, error):
@@ -192,7 +350,7 @@ def test_validate_rejects_like_reference(cset, error):
     [([-math.inf, -1.0], 1), ([-31.0, -45.0, -1.0], 2), ([-math.inf, -30.5, -math.inf], 3)],
 )
 def test_validate_clamps_with_one_counted_warning(scores, clamped):
-    cset = _set("abc"[: len(scores)], scores)
+    cset = _single("abc"[: len(scores)], scores)
     with captured_warnings() as records:
         out = validate(cset)
     assert [r.getMessage() for r in records] == [
@@ -204,11 +362,67 @@ def test_validate_clamps_with_one_counted_warning(scores, clamped):
 
 @pytest.mark.parametrize("scores", [[-0.0, -1.0], [FLOOR, -0.0], [FLOOR, FLOOR]])
 def test_validate_passes_boundary_scores_without_warning(scores):
-    cset = _set(["a", "b"], scores)
+    cset = _single(["a", "b"], scores)
     with captured_warnings() as records:
         out = validate(cset)
     assert records == []
     assert out is cset
+
+
+class ListScorer(Scorer):
+    def rescore(self, source, candidate):
+        return [s / 2 for s in candidate.scores]
+
+
+class IntScorer(Scorer):
+    def rescore(self, source, candidate):
+        return [-(i % 3) for i in range(len(candidate.tokens))]
+
+
+class IntTupleScorer(Scorer):
+    def rescore(self, source, candidate):
+        return tuple(-1 for _ in candidate.tokens)
+
+
+class ShortScorer(Scorer):
+    def rescore(self, source, candidate):
+        return candidate.scores[1:]
+
+
+NGRAM = NGramScorer(train_ngram([list("abcab"), list("bcd"), list("aab")], n=2, alpha=0.5))
+SCORERS = [SelfScorer(), ListScorer(), IntScorer(), IntTupleScorer(), ShortScorer(), NGRAM]
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets(sources=True), st.sampled_from(SCORERS))
+def test_rescore_set_matches_reference(cset, scorer):
+    assert outcome(rescore_set, cset, scorer) == outcome(reference_rescore_set, cset, scorer)
+
+
+# --- region selection and the whole pipeline ---------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets(), st.booleans())
+def test_select_segment_matches_reference(cset, as_lists):
+    prepared = rescore_set(cset, SelfScorer())
+    scores = [list(c.scores) if as_lists else c.scores for c in prepared.candidates]
+    for region in partition(prepared).regions():
+        got = select_segment(region, scores)
+        assert ident(got) == ident(reference_select_segment(region, scores))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_candidate_soups_matches_reference_pipeline(cset):
+    got = outcome(candidate_soups, cset)
+    assert got == outcome(reference_candidate_soups, cset)
+    fused = got[0][0]
+    deduped = CandidateSet(
+        cset.id, tuple(map(reference_remove_adjacent_duplicates, cset.candidates))
+    )
+    anchors = len(list(reference_partition(deduped).anchors()))
+    assert len(fused.tokens) == anchors + sum(len(choice.chosen_tokens) for choice in fused.trace)
 
 
 # --- n-gram scoring and BLEU counting ------------------------------------------
@@ -296,7 +510,7 @@ def test_bleu_accumulator_matches_reference(max_n, pairs):
     calls=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=3),
-            st.sampled_from(["p", "q"]),  # every pool set has id "p"
+            st.sampled_from(["p", "q r"]),  # the ids candidate_sets draws
             st.none() | st.floats(min_value=-9.0, max_value=0.0),
         ),
         min_size=1,
