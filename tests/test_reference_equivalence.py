@@ -12,13 +12,11 @@ out before others, and rounds in which several tokens qualify at once are
 all common.  Each set takes its scores either from a short list, so equal
 window means (and with them the lowest-index tie rule) occur, or from
 [-40, 0] plus 0.0, -0.0, the floor and -inf, so clamping occurs.  Ids are
-"p" and "q r".  ``validate`` gets three kinds of set: these; these with NaN
-and positive scores too; and sets whose tokens include Unicode whitespace,
-empty and non-string tokens as well, where a candidate now and then has one
-score too many.  Any of them may have a source.  Such sets rarely need more
-than the anchor search's first window, so ``far_anchor_cases`` gives each of
-up to 10 candidates a run of its own tokens, up to 60 long, before the
-tokens they share.
+"p" and "q r".  ``validate`` gets two kinds of set: these, and these with
+NaN and positive scores too; either may have a source.  Such sets rarely
+need more than the anchor search's first window, so ``far_anchor_cases``
+gives each of up to 10 candidates a run of its own tokens, up to 60 long,
+before the tokens they share.
 
 The n-gram scorer and BLEU counting are checked the same way: small
 vocabularies, so that contexts repeat and clipping is common, plus tokens
@@ -27,6 +25,11 @@ that repeat inputs among near misses (equal tokens under other ids and
 scores), and under threads; BLEU counting with one hypothesis against other
 references and other orders, and through one ``Reference`` per record as
 ``cds compare`` uses it.
+
+``test_kernel_equivalence`` shares these strategies and checks what this
+module leaves to it: the anchor search from the zero start, the partition
+of raw sets, ``validate`` on sets with invalid tokens, and the pipeline
+composed of the function copies.
 """
 
 from __future__ import annotations
@@ -202,19 +205,13 @@ FAR_SAME_ROUND_TIE = _set("xyzab", "uvwba")
 
 @settings(max_examples=400, deadline=None)
 @given(candidate_sets(), st.data())
-@example(SAME_ROUND_TIE, None)
-@example(SAME_ROUND_ADVANCE, None)
-@example(EXHAUSTED_FRONTIER, None)
 def test_find_next_anchor_matches_reference(cset, data):
-    starts = [(0,) * len(cset)]
-    if data is not None:
-        # start vectors include pointers at (and only at) a candidate's end
-        starts.append(tuple(
-            data.draw(st.integers(min_value=0, max_value=len(c.tokens))) for c in cset.candidates
-        ))
-    for start in starts:
-        want = reference_find_next_anchor(cset, start)
-        assert ident(find_next_anchor(cset, start)) == ident(want)
+    # start vectors include pointers at (and only at) a candidate's end; the
+    # zero start is test_kernel_equivalence's
+    start = tuple(
+        data.draw(st.integers(min_value=0, max_value=len(c.tokens))) for c in cset.candidates
+    )
+    assert ident(find_next_anchor(cset, start)) == ident(reference_find_next_anchor(cset, start))
 
 
 def test_same_round_examples_pick_by_advance_then_candidate_zero():
@@ -266,15 +263,12 @@ def test_find_next_anchor_past_the_first_window_matches_reference(case):
 
 @settings(max_examples=400, deadline=None)
 @given(candidate_sets())
-@example(SAME_ROUND_TIE)
-@example(SAME_ROUND_ADVANCE)
-@example(EXHAUSTED_FRONTIER)
 def test_partition_matches_reference(cset):
+    # the deduped set, as fusion partitions it; the raw set is test_kernel_equivalence's
     deduped = CandidateSet(cset.id, tuple(map(remove_adjacent_duplicates, cset.candidates)))
-    for s in (cset, deduped):
-        got = partition(s)
-        assert ident(got) == ident(reference_partition(s))
-        assert partition(s) is got  # the one-slot memo still answers a repeat
+    got = partition(deduped)
+    assert ident(got) == ident(reference_partition(deduped))
+    assert partition(deduped) is got  # the one-slot memo still answers a repeat
 
 
 # --- dedup, validation and rescoring -------------------------------------------------
@@ -289,28 +283,26 @@ def test_dedup_matches_reference(cset):
 
 
 # almost every set with invalid tokens fails on one, so valid sets, clamped or
-# passed through, and sets that fail only on a score are drawn apart
-VALIDATE_SETS = st.one_of(
+# passed through, and sets that fail only on a score are drawn apart; sets with
+# invalid tokens are test_kernel_equivalence's
+VALID_TOKEN_SETS = st.one_of(
     candidate_sets(sources=True),
     candidate_sets(scores=ANY_SCORES, sources=True),
-    candidate_sets(tokens=ANY_TOKENS, scores=ANY_SCORES, sources=True),
 )
+FLOORS = st.sampled_from([FLOOR, -5.0, -5, -math.inf])
+
+
+def validate_outcome(fn, cset, floor, with_callback):
+    """``outcome`` of ``fn(cset, floor, warn)`` and the ``warn`` calls."""
+    calls: list[str] = []
+    return outcome(fn, cset, floor, calls.append if with_callback else None), calls
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    VALIDATE_SETS,
-    st.sampled_from([FLOOR, -5.0, -5, -math.inf]),
-    st.booleans(),
-)
-@example(_set("ab", "c "), FLOOR, True)
-@example(_set("ab", "\x1c"), FLOOR, False)
+@given(VALID_TOKEN_SETS, FLOORS, st.booleans())
 def test_validate_matches_reference(cset, floor, with_callback):
-    results = []
-    for fn in (validate, reference_validate):
-        calls: list[str] = []
-        results.append((outcome(fn, cset, floor, calls.append if with_callback else None), calls))
-    assert results[0] == results[1]
+    got = validate_outcome(validate, cset, floor, with_callback)
+    assert got == validate_outcome(reference_validate, cset, floor, with_callback)
 
 
 def _single(tokens, scores, source=None):
