@@ -42,7 +42,7 @@ from .candidates import (
     remove_adjacent_duplicates,
     validate,
 )
-from .errors import CdsError, EmptyReference
+from .errors import CdsError, EmptyInput
 from .fusion import FusionResult, candidate_soups
 from .scoring import (
     MAX_ORDER,
@@ -258,12 +258,6 @@ class _Stop(Exception):
         self.line_no = line_no
 
 
-def _truncated(cset: CandidateSet, max_candidates: int | None) -> CandidateSet:
-    if max_candidates is None or len(cset.candidates) <= max_candidates:
-        return cset
-    return CandidateSet(cset.id, cset.candidates[:max_candidates], cset.source)
-
-
 def _iter_records(
     lines: Iterator[tuple[int, str | None]], err: IO[str]
 ) -> Iterator[tuple[int, CandidateSet | None]]:
@@ -296,10 +290,7 @@ def _stream(
     stderr: IO[str],
     output: Callable[[CandidateSet], dict],
 ) -> int:
-    """Write ``output`` of every record, truncated to ``--max-candidates``.
-
-    A ``CdsError`` fails only its record's line.
-    """
+    """Write ``output`` of every record; a ``CdsError`` fails only its record's line."""
     failed = False
     with _input_lines(args.input, stdin) as lines:
         for line_no, cset in _iter_records(lines, stderr):
@@ -307,7 +298,7 @@ def _stream(
                 failed = True
                 continue
             try:
-                _dump(output(_truncated(cset, args.max_candidates)), stdout)
+                _dump(output(cset), stdout)
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True
@@ -367,7 +358,7 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
         reference = tuple(line.split())
         try:
             cset = generate_candidates(reference, args.k, config, vocab, ident=str(line_no - 1))
-        except EmptyReference:
+        except EmptyInput:
             _diagnostic(stderr, line_no, "reference sentence is empty")
             failed = True
             continue
@@ -423,6 +414,13 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
                 raise _Stop(line_no, f"{args.ref}: reference sentence is empty")
     _dump(corpus_bleu(hyps, refs, max_n=args.max_n, epsilon=args.smooth).to_json(), stdout)
     return 0
+
+
+def _truncated(cset: CandidateSet, k: int) -> CandidateSet:
+    """``cset`` cut to its first ``k`` candidates, for one ``--sweep-k`` row."""
+    if len(cset.candidates) <= k:
+        return cset
+    return CandidateSet(cset.id, cset.candidates[:k], cset.source)
 
 
 def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
@@ -515,19 +513,7 @@ def cmd_ngram_train(
     return 0
 
 
-def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scorer",
-        default="self",
-        help="'self' (keep stored scores) or 'ngram:<model-path>'",
-    )
-    parser.add_argument(
-        "--max-candidates",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="truncate each record to its first N candidates",
-    )
+_SCORER_HELP = "'self' (keep stored scores) or 'ngram:<model-path>'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuse = sub.add_parser("fuse", help="fuse each candidate record into one sequence")
     fuse.add_argument("input", nargs="?", default="-", help="JSONL records ('-' for stdin)")
-    _add_scorer_flags(fuse)
+    fuse.add_argument("--scorer", default="self", help=_SCORER_HELP)
     fuse.add_argument("--trace", action="store_true", help="emit per-region decisions")
     fuse.add_argument(
         "--oracle-check",
@@ -550,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     npd = sub.add_parser("npd", help="keep the best whole candidate per record")
     npd.add_argument("input", nargs="?", default="-")
-    _add_scorer_flags(npd)
+    npd.add_argument("--scorer", default="self", help=_SCORER_HELP)
     npd.set_defaults(handler=cmd_npd)
 
     synth = sub.add_parser("synth", help="generate candidate records from reference sentences")
@@ -579,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("input", nargs="?", default="-")
     compare.add_argument("--refs", required=True, help="reference sentences aligned with records")
-    compare.add_argument("--scorer", default="self")
+    compare.add_argument("--scorer", default="self", help=_SCORER_HELP)
     compare.add_argument(
         "--sweep-k",
         type=_k_range,

@@ -25,13 +25,5 @@ class ScorerFailure(CdsError):
     """A scorer returned a score sequence misaligned with its input."""
 
 
-class EmptyCorpus(CdsError):
-    """A training corpus contains no sentences."""
-
-
-class EmptyReference(CdsError):
-    """A reference sentence used for candidate generation is empty."""
-
-
 class EmptyInput(CdsError):
-    """An evaluation input is empty where content is required."""
+    """An input that must hold content is empty: a training corpus, a reference, a BLEU input."""

@@ -26,17 +26,17 @@ from .candidates import (
     record,
     remove_adjacent_duplicates,
 )
-from .errors import EmptyCorpus, ScorerFailure
+from .errors import EmptyInput, ScorerFailure
 
 # Sentence-boundary symbols.  Corpus tokens that collide with these literals
 # are treated as boundaries; callers control tokenization.
 START_SYMBOL = "<s>"
 END_SYMBOL = "</s>"
 
-# Token sequences an NGramScorer remembers.  Enough for one record's distinct
-# candidates across a whole k-sweep; far fewer than the distinct sequences a
-# stream scores between two visits to the same record, so timings of fresh
-# input never measure memo hits.
+# Token sequences an NGramScorer remembers.  Enough for a whole k-sweep over a
+# record with at most this many distinct candidates; far fewer than the
+# distinct sequences a stream scores between two visits to the same record, so
+# timings of fresh input never measure memo hits.
 NGRAM_MEMO_SIZE = 64
 
 # The highest n-gram order a model, ``ngram-train --order`` or ``bleu --max-n``
@@ -110,8 +110,15 @@ def _check_settings(order: int, alpha: float) -> None:
         raise ValueError(f"smoothing constant must be a finite number > 0, got {alpha!r}")
 
 
-def _model(order: int, alpha: float, counts: dict, totals: dict, vocab: set[str]) -> NGramModel:
-    """The model of these counts; ValueError if some probability is 0, which has no log."""
+def _model(order: int, alpha: float, counts: dict[tuple[str, ...], dict[str, int]]) -> NGramModel:
+    """The model of these counts; ValueError if some probability is 0, which has no log.
+
+    Context totals and the vocabulary are derived from the counts: every
+    context occurrence has exactly one continuation, and every trained token
+    (the end symbol too) occurs as some n-gram's target.
+    """
+    totals = {context: sum(by_token.values()) for context, by_token in counts.items()}
+    vocab = frozenset(token for by_token in counts.values() for token in by_token)
     # the least probability of any event: an unknown token after the commonest context
     try:
         least = alpha / (max(totals.values(), default=0) + alpha * (len(vocab) + 1))
@@ -119,7 +126,7 @@ def _model(order: int, alpha: float, counts: dict, totals: dict, vocab: set[str]
         least = 0.0
     if not least > 0:
         raise ValueError(f"n-gram counts too large for smoothing constant {alpha!r}")
-    return NGramModel(order, alpha, counts, totals, frozenset(vocab))
+    return NGramModel(order, alpha, counts, totals, vocab)
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1) -> NGramModel:
@@ -129,29 +136,24 @@ def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1)
     end symbol, so the end symbol is a predictable event while the start
     symbols appear only in contexts.
 
-    Raises EmptyCorpus when the corpus has no sentences, and ValueError on
+    Raises EmptyInput when the corpus has no sentences, and ValueError on
     settings that ``_check_settings`` rejects or counts that ``_model`` does.
     """
     _check_settings(n, alpha)
 
     counts: dict[tuple[str, ...], dict[str, int]] = {}
-    totals: dict[tuple[str, ...], int] = {}
-    vocab: set[str] = set()
     seen_any = False
     for sentence in corpus:
         seen_any = True
         padded = [START_SYMBOL] * (n - 1) + list(sentence) + [END_SYMBOL]
-        vocab.update(sentence)
         for i in range(len(sentence) + 1):
             context = tuple(padded[i : i + n - 1])
             target = padded[i + n - 1]
             counts.setdefault(context, {})
             counts[context][target] = counts[context].get(target, 0) + 1
-            totals[context] = totals.get(context, 0) + 1
     if not seen_any:
-        raise EmptyCorpus("n-gram training corpus has no sentences")
-    vocab.add(END_SYMBOL)
-    return _model(n, alpha, counts, totals, vocab)
+        raise EmptyInput("n-gram training corpus has no sentences")
+    return _model(n, alpha, counts)
 
 
 def ngram_score(
@@ -186,9 +188,12 @@ class NGramScorer(Scorer):
 
     Memoizes the scores of its last ``NGRAM_MEMO_SIZE`` token sequences,
     keyed on the tokens alone (the source plays no part), and returns them as
-    shared immutable tuples.  The model and floor are fixed after
-    construction, so it stays deterministic, and ``lru_cache`` keeps it safe
-    for concurrent use.
+    shared immutable tuples.  So a record's distinct candidates are scored
+    once each only up to that bound: past it, each pass over the record
+    evicts what the next pass needs (one record with 100 distinct candidates
+    under ``compare --sweep-k 1..100`` makes 6,140 ``ngram_score`` calls).
+    The model and floor are fixed after construction, so it stays
+    deterministic, and ``lru_cache`` keeps it safe for concurrent use.
     """
 
     def __init__(self, model: NGramModel, score_floor: float = DEFAULT_SCORE_FLOOR):
@@ -225,16 +230,11 @@ def save_ngram(model: NGramModel, path: str) -> None:
 def load_ngram(path: str) -> NGramModel:
     """Load a model written by ``save_ngram``, or raise ValueError.
 
-    Context totals and the vocabulary are reconstructed from the count
-    lines: every context occurrence has exactly one continuation, and every
-    trained token occurs as some n-gram's target.  A count line that
-    ``save_ngram`` would not write is an error that names the line, and
-    ``_model`` checks the counts, so every ``ngram_score`` of a model that
-    loads is a finite log-probability.
+    A count line that ``save_ngram`` would not write is an error that names
+    the line, and ``_model`` checks the counts, so every ``ngram_score`` of a
+    model that loads is a finite log-probability.
     """
     counts: dict[tuple[str, ...], dict[str, int]] = {}
-    totals: dict[tuple[str, ...], int] = {}
-    vocab: set[str] = set()
     with open(path, "r", encoding="utf-8") as fp:
         header = fp.readline().split()
         if len(header) != 3 or header[0] != "ngram":
@@ -263,9 +263,7 @@ def load_ngram(path: str) -> NGramModel:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
             by_token[token] = count
-            totals[context] = totals.get(context, 0) + count
-            vocab.add(token)
-    return _model(order, alpha, counts, totals, vocab)
+    return _model(order, alpha, counts)
 
 
 def rescore_set(cset: CandidateSet, scorer: Scorer) -> CandidateSet:

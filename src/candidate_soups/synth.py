@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate
-from .errors import EmptyReference
+from .errors import EmptyInput
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,11 @@ def generate_candidates(
     """Generate k independent corruptions of one reference sentence.
 
     ``vocab`` is the ``Vocabulary`` that insertions and substitutions draw
-    from.  Raises EmptyReference when the reference has no tokens, then
+    from.  Raises EmptyInput when the reference has no tokens, then
     ValueError when k < 1 or the vocabulary is empty.
     """
     if not reference:
-        raise EmptyReference(f"reference {ident!r} is empty")
+        raise EmptyInput(f"reference {ident!r} is empty")
     if k < 1:
         raise ValueError(f"candidate count must be >= 1, got {k}")
     if not vocab:

@@ -1,12 +1,25 @@
 """Fixtures shared by several test modules."""
 
 import random
+import warnings
 
 import pytest
 
 from candidate_soups import scoring
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import random_references, word_vocab
+
+# The hypothesis plugin imports this module (and libcst through it) to report a
+# failing test, and libcst's import warns of a deprecation, which ``-W error``
+# turns into an INTERNALERROR that hides the falsifying example.  Importing it
+# once here, with that warning ignored, leaves the plugin the loaded module.
+# Without libcst there is nothing to load.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

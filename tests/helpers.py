@@ -453,9 +453,10 @@ def reference_oracle_best(
 
 # --- the per-token n-gram scorer and BLEU counting, frozen ---------------------
 # As they stood before ngram_score built its contexts with zip and BLEU counted
-# with Counter(zip(...)) and a cached reference: one tuple slice and one
-# NGramModel.probability call per token, one generator per n-gram order.
-# Verbatim references for the equivalence tests.
+# with Counter(zip(...)) and a cached reference: one tuple slice per token, one
+# generator per n-gram order.  The n-gram reference reads ``model.counts``
+# alone, not the totals and vocabulary the model derives from them, so a wrong
+# derivation shows.  References for the equivalence tests.
 
 
 def reference_ngram_score(
@@ -464,12 +465,15 @@ def reference_ngram_score(
     score_floor: float = DEFAULT_SCORE_FLOOR,
 ) -> list[float]:
     """Per-token log p(token | previous n-1 tokens), clamped to the floor."""
-    n = model.order
+    n, alpha, counts = model.order, model.alpha, model.counts
+    vocabulary = {token for by_token in counts.values() for token in by_token}
+    event_count = len(vocabulary) + 1  # one extra unknown class
     padded = [START_SYMBOL] * (n - 1) + list(tokens)
     out: list[float] = []
     for i, tok in enumerate(tokens):
-        context = tuple(padded[i : i + n - 1])
-        logp = math.log(model.probability(context, tok))
+        by_token = counts.get(tuple(padded[i : i + n - 1]), {})
+        total = sum(by_token.values())
+        logp = math.log((by_token.get(tok, 0) + alpha) / (total + alpha * event_count))
         out.append(max(score_floor, logp))
     return out
 

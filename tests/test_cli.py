@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -121,20 +122,6 @@ class TestFuse:
         assert record["output"] == THREE_WAY_FUSED
         assert [(t["region"], t["chosen"]) for t in record["trace"]] == [(0, 1), (1, 2)]
         assert all(len(t["scores"]) == 3 for t in record["trace"])
-
-    def test_max_candidates_one_keeps_deduped_first(self):
-        line = json.dumps(
-            {
-                "id": "x",
-                "candidates": [
-                    {"tokens": ["a", "a", "b"], "scores": [-0.1, -0.2, -0.3]},
-                    {"tokens": ["c"], "scores": [-0.1]},
-                ],
-            }
-        )
-        code, out, _ = run(["fuse", "--max-candidates", "1"], line)
-        assert code == 0
-        assert json.loads(out)["output"] == ["a", "b"]
 
     def test_bad_line_reported_good_lines_processed(self):
         stdin = "not json\n" + cross_error_line() + "\n"
@@ -790,6 +777,7 @@ BAD_MODELS = {
 @pytest.mark.parametrize(
     "argv, named",
     [
+        # fuse and npd take no --max-candidates: any value of it is an unknown argument
         (["fuse", "--max-candidates", "0"], "--max-candidates"),
         (["fuse", "--max-candidates", "-1"], "--max-candidates"),
         (["npd", "--max-candidates", "0"], "--max-candidates"),
@@ -823,6 +811,12 @@ BAD_MODELS = {
         # B has a bound: a huge one set up two accumulators per k before any input was read
         (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
         for value in ["1..1001", "5..100000000000000000000"]
+    ]
+    + [
+        # compare --sweep-k is the one way to cut records to their first candidates;
+        # 1 was a valid --max-candidates
+        (["fuse", "--max-candidates", "1"], "--max-candidates"),
+        (["npd", "--max-candidates", "1"], "--max-candidates"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -882,6 +876,36 @@ def test_sweep_k_bound_is_inclusive():
 
 def test_order_bound_is_inclusive():
     assert cli._order(str(MAX_ORDER)) == MAX_ORDER
+
+
+# every value a command takes, 31 in all: a new option is a decision to change this table
+COMMAND_OPTIONS = {
+    "fuse": {"input", "--scorer", "--trace", "--oracle-check"},
+    "npd": {"input", "--scorer"},
+    "synth": {
+        "refs", "--k", "--seed", "--substitution-rate", "--insertion-rate", "--deletion-rate",
+        "--duplication-rate", "--correct-score-mean", "--correct-score-std",
+        "--error-score-mean", "--error-score-std",
+    },
+    "bleu": {"hyp", "ref", "--hyp-jsonl", "--smooth", "--max-n"},
+    "compare": {"input", "--refs", "--scorer", "--sweep-k", "--json"},
+    "ngram-train": {"corpus", "--output", "--order", "--alpha"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {
+            action.option_strings[-1] if action.option_strings else action.dest
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for name, command in commands.choices.items()
+    }
+    assert got == COMMAND_OPTIONS
+    assert sum(map(len, got.values())) == 31
 
 
 class _RaisingScorer(Scorer):

@@ -17,7 +17,7 @@ from candidate_soups import (
     train_ngram,
 )
 from candidate_soups.candidates import remove_adjacent_duplicates
-from candidate_soups.errors import EmptyCorpus, ScorerFailure
+from candidate_soups.errors import EmptyInput, ScorerFailure
 from candidate_soups.fusion import candidate_soups
 from candidate_soups.scoring import (
     END_SYMBOL,
@@ -73,7 +73,7 @@ class TestTrainNgram:
         assert model.probability((), "a") == pytest.approx(expected, abs=1e-15)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EmptyInput):
             train_ngram([], n=2)
 
     def test_bad_parameters(self):
@@ -264,6 +264,7 @@ def test_every_model_that_loads_scores_finite_and_nonpositive(model_path, text):
     order=st.integers(min_value=1, max_value=4),
     alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
+@example(corpus=[[], [START_SYMBOL, END_SYMBOL, "a"], []], order=3, alpha=0.1)
 def test_save_load_save_is_byte_identical(model_path, corpus, order, alpha):
     try:
         model = train_ngram(corpus, n=order, alpha=alpha)
@@ -271,7 +272,10 @@ def test_save_load_save_is_byte_identical(model_path, corpus, order, alpha):
         return  # nothing is saved: alpha is too small for the counts
     save_ngram(model, str(model_path))
     written = model_path.read_bytes()
-    save_ngram(load_ngram(str(model_path)), str(model_path))
+    loaded = load_ngram(str(model_path))
+    # the loaded model rebuilds the trained one field by field, totals and vocabulary too
+    assert loaded._asdict() == model._asdict()
+    save_ngram(loaded, str(model_path))
     assert model_path.read_bytes() == written
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from candidate_soups.errors import EmptyReference
+from candidate_soups.errors import EmptyInput
 from candidate_soups.synth import NoiseConfig, Vocabulary, generate_candidates, generate_corpus
 from helpers import random_references, word_vocab
 
@@ -80,7 +80,7 @@ class TestGenerateCandidates:
         assert a != b
 
     def test_empty_reference(self):
-        with pytest.raises(EmptyReference):
+        with pytest.raises(EmptyInput):
             generate_candidates((), 3, QUIET, vocab=Vocabulary(("a",)))
 
     @pytest.mark.parametrize(
