@@ -5,10 +5,18 @@ Clipped n-gram counts are summed across the corpus first and divided last
 per hypothesis.  Token streams are compared as-is; callers control
 tokenization.
 
-N-grams are counted with ``Counter(zip(...))`` over shifted slices, so the
-counting runs in C.  A ``Reference`` counts one reference sentence's n-grams
-once and keeps the clipped matches of each distinct hypothesis scored
-against it; ``BleuAccumulator.add`` takes a hypothesis and a ``Reference``.
+A ``Reference`` collects one reference sentence's n-grams once, as a set
+per order plus a count for only the n-grams that occur twice or more, and
+keeps the clipped matches of each distinct hypothesis scored against it.
+The clipped count of an order, the sum of min(h, r) over the n-grams both
+sides hold (h times in the hypothesis, r in the reference), is the size of
+the intersection of the two sets plus min(h, r) - 1 for each n-gram that
+repeats on both sides; so a hypothesis is counted with a ``Counter`` only
+at an order where both sides repeat some n-gram, and otherwise the sets
+do the work in C.  N-grams come from ``zip`` over shifted slices, and no
+list of them is built.
+
+``BleuAccumulator.add`` takes a hypothesis and a ``Reference``.
 ``corpus_bleu`` builds one per sentence pair.  ``cds compare`` builds one
 per record and adds every method's output (and each k of its sweep) against
 it, so the hypotheses that coincide within a record are clipped once;
@@ -20,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from itertools import repeat
 
 from .candidates import record
 from .errors import EmptyInput, LengthMismatch
@@ -43,34 +50,41 @@ class BleuReport(
         }
 
 
-def _ngram_counts(tokens: TokenSeq, n: int) -> Counter:
-    if n > len(tokens):
-        return Counter()  # no n-gram fits; skips building n slices for nothing
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _ngrams(tokens: tuple[str, ...], n: int):
+    """The n-grams of ``tokens``: the tokens themselves for n = 1, else tuples."""
+    return tokens if n == 1 else zip(*[tokens[i:] for i in range(n)])
 
 
 class Reference:
-    """One non-empty reference sentence, with its n-gram counts of orders 1..max_n.
+    """One non-empty reference sentence, with its n-grams of orders 1..max_n.
 
-    ``clipped_matches`` remembers its result for each distinct hypothesis
-    in a dict that lives as long as this object, so build one per reference
-    sentence and let it go with that sentence.  It serves any
-    ``BleuAccumulator`` whose ``max_n`` is at most its own.  Not meant to be
-    shared between threads.
+    For each order it keeps the set of its n-grams and a count for only
+    those that occur twice or more; unigrams are the tokens themselves,
+    longer n-grams tuples.  ``clipped_matches`` remembers its result for
+    each distinct hypothesis in a dict that lives as long as this object,
+    so build one per reference sentence and let it go with that sentence.
+    It serves any ``BleuAccumulator`` whose ``max_n`` is at most its own.
+    Not meant to be shared between threads.
 
     Raises EmptyInput for an empty reference.
     """
 
-    __slots__ = ("tokens", "max_n", "_counts", "_matches")
+    __slots__ = ("tokens", "max_n", "_grams", "_matches")
 
     def __init__(self, tokens: TokenSeq, max_n: int = 4):
         if max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {max_n}")
         if not tokens:
             raise EmptyInput("reference sentence is empty")
-        self.tokens = tuple(tokens)
+        self.tokens = tokens = tuple(tokens)
         self.max_n = max_n
-        self._counts = [_ngram_counts(self.tokens, n) for n in range(1, max_n + 1)]
+        self._grams: list[tuple[set, dict]] = []
+        for n in range(1, max_n + 1):
+            grams = set(_ngrams(tokens, n))
+            repeats = {}
+            if len(grams) < len(tokens) - n + 1:  # some n-gram occurs twice
+                repeats = {g: c for g, c in Counter(_ngrams(tokens, n)).items() if c > 1}
+            self._grams.append((grams, repeats))
         self._matches: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def clipped_matches(self, hypothesis: TokenSeq) -> tuple[int, ...]:
@@ -86,14 +100,24 @@ class Reference:
         return matches
 
     def _clip(self, hypothesis: tuple[str, ...]) -> tuple[int, ...]:
+        # sum of min(h, r) over shared n-grams = |H & R| + sum of (min(h, r) - 1)
+        # over the n-grams that both sides hold twice or more
         matches = []
-        for n, ref_counts in enumerate(self._counts, start=1):
-            hyp_counts = _ngram_counts(hypothesis, n)
-            if not hyp_counts:
-                break  # no longer n-gram fits either
-            matches.append(
-                sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
-            )
+        for n, (ref_grams, ref_repeats) in enumerate(self._grams, start=1):
+            if n > len(hypothesis):
+                break  # no n-gram of this order or longer fits
+            if not ref_repeats:
+                matches.append(len(ref_grams.intersection(_ngrams(hypothesis, n))))
+                continue
+            grams = set(_ngrams(hypothesis, n))
+            matched = len(grams & ref_grams)
+            if len(grams) < len(hypothesis) - n + 1:
+                hyp_counts = Counter(_ngrams(hypothesis, n))
+                for gram, r in ref_repeats.items():
+                    h = hyp_counts.get(gram, 0)
+                    if h > 1:
+                        matched += min(h, r) - 1
+            matches.append(matched)
         return tuple(matches)
 
 

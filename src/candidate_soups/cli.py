@@ -39,6 +39,7 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
+    _tokens_valid,
     remove_adjacent_duplicates,
     validate,
 )
@@ -399,7 +400,13 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
                 raise _Stop(line_no, f"{path}: record must be an object with 'output'") from None
             if not isinstance(output, list) or not set(map(type, output)) <= {str}:
                 raise _Stop(line_no, f"{path}: 'output' must be a list of strings")
-            out.append(tuple(output))
+            output = tuple(output)
+            # a token the text form could not hold would score as something else
+            if output and not _tokens_valid(output):
+                tok = next(t for t in output if not _tokens_valid((t,)))
+                raise _Stop(line_no, f"{path}: 'output' token {tok!r} must be a non-empty "
+                                     "string without whitespace")
+            out.append(output)
     return out
 
 

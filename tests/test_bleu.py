@@ -37,6 +37,26 @@ def test_clipping_counts_against_reference():
     assert report.ngram_precisions[0] == pytest.approx(2 / 3)
 
 
+# (hypothesis, reference, max_n, clipped matches of orders 1..): one row per
+# branch of Reference's clip, sum of min(h, r) = |H & R| + sum of (min(h, r) - 1)
+# over the n-grams that repeat on both sides
+CLIP_CASES = [
+    pytest.param("x x x y", "x x y z", 2, (3, 2), id="repeats-in-both-more-in-hypothesis"),
+    pytest.param("x y x", "x x x y", 2, (3, 1), id="repeats-in-both-more-in-reference"),
+    pytest.param("x x x", "x y", 2, (1, 0), id="repeats-only-in-hypothesis"),
+    pytest.param("x x", "x y y", 2, (1, 0), id="repeats-only-in-hypothesis-reference-repeats"),
+    pytest.param("x y", "x x y", 2, (2, 1), id="repeats-only-in-reference"),
+    pytest.param("x z z", "x x y", 2, (1, 0), id="repeats-only-in-reference-hypothesis-repeats"),
+    pytest.param("x y", "x y z x", 4, (2, 1), id="hypothesis-shorter-than-max-n"),
+    pytest.param("x y z", "x y", 3, (2, 1, 0), id="reference-shorter-than-n"),
+]
+
+
+@pytest.mark.parametrize("hypothesis, reference, max_n, want", CLIP_CASES)
+def test_clipped_matches_by_hand(hypothesis, reference, max_n, want):
+    assert Reference(reference.split(), max_n).clipped_matches(hypothesis.split()) == want
+
+
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
         corpus_bleu([["a"]], [["a"], ["b"]])

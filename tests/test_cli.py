@@ -378,6 +378,24 @@ class TestBleu:
             {"line": 2, "error": f"{hyp}: {message}"}
         ]
 
+    @pytest.mark.parametrize(
+        "tokens, bad",
+        [(["a", "b c"], "b c"), (["a", ""], ""), (["a", "b\u00a0"], "b\u00a0")],
+        ids=["whitespace", "empty", "unicode-whitespace"],
+    )
+    def test_jsonl_token_the_text_form_cannot_hold_is_named(self, tmp_path, tokens, bad):
+        # used to exit 0 with "hyp_len": 2, scoring "b c" as one token or counting ""
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"output": []}\n' + json.dumps({"output": tokens}) + "\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a\na b\n")
+        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        assert code == 1 and out == ""
+        assert [json.loads(text) for text in err.splitlines()] == [
+            {"line": 2, "error": f"{hyp}: 'output' token {bad!r} must be a non-empty "
+                                 "string without whitespace"}
+        ]
+
     def test_count_mismatch_fails(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         ref = tmp_path / "ref.txt"
@@ -747,83 +765,97 @@ class _UnreadableInput(io.StringIO):
         raise AssertionError("input was read")
 
 
+# model file -> (the number in the ids of its three rows below, its text)
 BAD_MODELS = {
-    "garbage.ngram": "not a model\n",
+    "garbage.ngram": (24, "not a model\n"),
     # headers that used to load: a NaN alpha scored every token at the floor
-    "nan.ngram": "ngram 3 nan\n",
-    "inf.ngram": "ngram 3 inf\n",
-    "negative.ngram": "ngram 3 -1\n",
-    "order0.ngram": "ngram 0 0.1\n",
+    "nan.ngram": (27, "ngram 3 nan\n"),
+    "inf.ngram": (30, "ngram 3 inf\n"),
+    "negative.ngram": (33, "ngram 3 -1\n"),
+    "order0.ngram": (36, "ngram 0 0.1\n"),
     # count lines that used to load: a count below 1 made a log of a negative
     # number ("math domain error") end the stream at its first record
-    "negative-count.ngram": "ngram 2 0.1\n<s>\ta\t-1\na\tb\t1\n",
-    "zero-count.ngram": "ngram 2 0.1\n<s>\ta\t0\n",
-    "fractional-count.ngram": "ngram 2 0.1\n<s>\ta\t1.5\n",
-    "long-context.ngram": "ngram 2 0.1\n<s> x\ta\t1\n",
-    "short-context.ngram": "ngram 3 0.1\n<s>\ta\t1\n",
-    "two-fields.ngram": "ngram 2 0.1\n<s>\ta\n",
-    "four-fields.ngram": "ngram 2 0.1\n<s>\ta\t1\t1\n",
-    "whitespace-token.ngram": "ngram 1 0.1\n\ta\x0bb\t1\n",
-    "empty-context-token.ngram": "ngram 3 0.1\n<s> \ta\t1\n",
-    "repeated-ngram.ngram": "ngram 2 0.1\n<s>\ta\t1\n<s>\ta\t2\n",
+    "negative-count.ngram": (39, "ngram 2 0.1\n<s>\ta\t-1\na\tb\t1\n"),
+    "zero-count.ngram": (42, "ngram 2 0.1\n<s>\ta\t0\n"),
+    "fractional-count.ngram": (45, "ngram 2 0.1\n<s>\ta\t1.5\n"),
+    "long-context.ngram": (48, "ngram 2 0.1\n<s> x\ta\t1\n"),
+    "short-context.ngram": (51, "ngram 3 0.1\n<s>\ta\t1\n"),
+    "two-fields.ngram": (54, "ngram 2 0.1\n<s>\ta\n"),
+    "four-fields.ngram": (57, "ngram 2 0.1\n<s>\ta\t1\t1\n"),
+    "whitespace-token.ngram": (60, "ngram 1 0.1\n\ta\x0bb\t1\n"),
+    "empty-context-token.ngram": (63, "ngram 3 0.1\n<s> \ta\t1\n"),
+    "repeated-ngram.ngram": (66, "ngram 2 0.1\n<s>\ta\t1\n<s>\ta\t2\n"),
     # counts so large against alpha that a probability is 0, or beyond float range
-    "underflow.ngram": "ngram 1 1e-300\n\ta\t" + "9" * 300 + "\n",
-    "overflow.ngram": "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n",
+    "underflow.ngram": (69, "ngram 1 1e-300\n\ta\t" + "9" * 300 + "\n"),
+    "overflow.ngram": (72, "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n"),
     # an order above the bound used to load, and scoring built order - 1 slices per candidate
-    "order-above-bound.ngram": f"ngram {MAX_ORDER + 1} 0.1\n",
+    "order-above-bound.ngram": (75, f"ngram {MAX_ORDER + 1} 0.1\n"),
 }
+
+
+def flag_case(number, argv, named):
+    """A row of ``test_bad_flag_value_is_usage_error``.  Its id is the number
+    written in the row, not the row's place, so removing a row renames no
+    other case; the numbers are the positional ids the rows first had."""
+    return pytest.param(argv, named, id=f"argv{number}-{named}")
 
 
 @pytest.mark.parametrize(
     "argv, named",
     [
         # fuse and npd take no --max-candidates: any value of it is an unknown argument
-        (["fuse", "--max-candidates", "0"], "--max-candidates"),
-        (["fuse", "--max-candidates", "-1"], "--max-candidates"),
-        (["npd", "--max-candidates", "0"], "--max-candidates"),
-        (["npd", "--max-candidates", "-1"], "--max-candidates"),
-        (["fuse", "--scorer", "bogus"], "unknown scorer"),
-        (["npd", "--scorer", "bogus"], "unknown scorer"),
-        (["compare", "--refs", "unused.txt", "--scorer", "bogus"], "unknown scorer"),
+        flag_case(0, ["fuse", "--max-candidates", "0"], "--max-candidates"),
+        flag_case(1, ["fuse", "--max-candidates", "-1"], "--max-candidates"),
+        flag_case(2, ["npd", "--max-candidates", "0"], "--max-candidates"),
+        flag_case(3, ["npd", "--max-candidates", "-1"], "--max-candidates"),
+        flag_case(4, ["fuse", "--scorer", "bogus"], "unknown scorer"),
+        flag_case(5, ["npd", "--scorer", "bogus"], "unknown scorer"),
+        flag_case(6, ["compare", "--refs", "unused.txt", "--scorer", "bogus"], "unknown scorer"),
     ]
     + [
-        (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
-        for value in ["0..3", "x", "3..1", "1..", "..3", "1..2..3", "0..0"]
+        flag_case(number, ["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
+        for number, value in [
+            (7, "0..3"), (8, "x"), (9, "3..1"), (10, "1.."), (11, "..3"), (12, "1..2..3"),
+            (13, "0..0"),
+        ]
     ]
     + [
         # argparse's own errors
-        (["fuse", "--max-candidates", "x"], "--max-candidates"),
-        (["compare"], "--refs"),
-        (["fuse", "--bogus-flag"], "--bogus-flag"),
-        (["compare", "--refs", "unused.txt", "--sweep-k", "-1..2"], "--sweep-k"),
-        ([], "command"),
+        flag_case(14, ["fuse", "--max-candidates", "x"], "--max-candidates"),
+        flag_case(15, ["compare"], "--refs"),
+        flag_case(16, ["fuse", "--bogus-flag"], "--bogus-flag"),
+        flag_case(17, ["compare", "--refs", "unused.txt", "--sweep-k", "-1..2"], "--sweep-k"),
+        flag_case(18, [], "command"),
         # removed options
-        (["fuse", "--no-dedup"], "--no-dedup"),
-        (["synth", "r.txt", "--config", "noise.cfg"], "--config"),
+        flag_case(19, ["fuse", "--no-dedup"], "--no-dedup"),
+        flag_case(20, ["synth", "r.txt", "--config", "noise.cfg"], "--config"),
     ]
     + [
         # an n-gram model that cannot be loaded used to exit 1
-        ([*argv, "--scorer", f"ngram:{model}"], "--scorer")
-        for model in ["missing.ngram", *BAD_MODELS]
-        for argv in [["fuse"], ["npd"], ["compare", "--refs", "unused.txt"]]
+        flag_case(number + offset, [*argv, "--scorer", f"ngram:{model}"], "--scorer")
+        for model, number in [
+            ("missing.ngram", 21),
+            *((name, number) for name, (number, _) in BAD_MODELS.items()),
+        ]
+        for offset, argv in [(0, ["fuse"]), (1, ["npd"]), (2, ["compare", "--refs", "unused.txt"])]
     ]
     + [
         # B has a bound: a huge one set up two accumulators per k before any input was read
-        (["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
-        for value in ["1..1001", "5..100000000000000000000"]
+        flag_case(number, ["compare", "--refs", "unused.txt", "--sweep-k", value], "--sweep-k")
+        for number, value in [(78, "1..1001"), (79, "5..100000000000000000000")]
     ]
     + [
         # compare --sweep-k is the one way to cut records to their first candidates;
         # 1 was a valid --max-candidates
-        (["fuse", "--max-candidates", "1"], "--max-candidates"),
-        (["npd", "--max-candidates", "1"], "--max-candidates"),
+        flag_case(80, ["fuse", "--max-candidates", "1"], "--max-candidates"),
+        flag_case(81, ["npd", "--max-candidates", "1"], "--max-candidates"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
     # used to fail every record, drop candidates silently, exit 1, or print
     # argparse's plain-text usage and raise SystemExit
     monkeypatch.chdir(tmp_path)
-    for name, text in BAD_MODELS.items():
+    for name, (_, text) in BAD_MODELS.items():
         (tmp_path / name).write_text(text)
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)

@@ -81,6 +81,7 @@ from helpers import (
     reference_select_segment,
     reference_validate,
 )
+from test_bleu import CLIP_CASES
 
 FLOOR = DEFAULT_SCORE_FLOOR
 VOCAB = "abcdefg"
@@ -453,6 +454,14 @@ def test_ngram_score_floor_clamp_case_is_covered():
 BLEU_TOKENS = st.sampled_from("xyz")  # three types: repeated n-grams, frequent clipping
 
 
+def clip_case_examples(test):
+    """``test_bleu``'s hand-computed clip cases, one example each."""
+    for case in CLIP_CASES:
+        hypothesis, reference, max_n, _ = case.values
+        test = example(max_n=max_n, pairs=[(hypothesis.split(), reference.split(), 1, True)])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     max_n=st.integers(min_value=1, max_value=6),
@@ -467,6 +476,7 @@ BLEU_TOKENS = st.sampled_from("xyz")  # three types: repeated n-grams, frequent 
         max_size=8,
     ),
 )
+@clip_case_examples
 def test_bleu_accumulator_matches_reference(max_n, pairs):
     got, want = BleuAccumulator(max_n), BleuAccumulator(max_n)
     other, other_want = BleuAccumulator(max_n % 6 + 1), BleuAccumulator(max_n % 6 + 1)
