@@ -8,6 +8,9 @@ tokenization.
 A ``Reference`` collects one reference sentence's n-grams once, as a set
 per order plus a count for only the n-grams that occur twice or more, and
 keeps the clipped matches of each distinct hypothesis scored against it.
+An order with a repeat is counted once, with a ``Counter`` whose keys are
+its set; an order without one (and every order above it, since a repeated
+n-gram holds a repeated shorter one) is a plain set.
 The clipped count of an order, the sum of min(h, r) over the n-grams both
 sides hold (h times in the hypothesis, r in the reference), is the size of
 the intersection of the two sets plus min(h, r) - 1 for each n-gram that
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Sequence, Set as AbstractSet
 
 from .candidates import record
 from .errors import EmptyInput, LengthMismatch
@@ -58,9 +61,10 @@ def _ngrams(tokens: tuple[str, ...], n: int):
 class Reference:
     """One non-empty reference sentence, with its n-grams of orders 1..max_n.
 
-    For each order it keeps the set of its n-grams and a count for only
-    those that occur twice or more; unigrams are the tokens themselves,
-    longer n-grams tuples.  ``clipped_matches`` remembers its result for
+    For each order it keeps the set of its n-grams (the keys of its
+    ``Counter`` at an order with a repeat) and a count for only those that
+    occur twice or more; unigrams are the tokens themselves, longer n-grams
+    tuples.  ``clipped_matches`` remembers its result for
     each distinct hypothesis in a dict that lives as long as this object,
     so build one per reference sentence and let it go with that sentence.
     It serves any ``BleuAccumulator`` whose ``max_n`` is at most its own.
@@ -78,13 +82,17 @@ class Reference:
             raise EmptyInput("reference sentence is empty")
         self.tokens = tokens = tuple(tokens)
         self.max_n = max_n
-        self._grams: list[tuple[set, dict]] = []
+        self._grams: list[tuple[AbstractSet, dict]] = []
+        repeating = True  # an order without a repeated n-gram has none above it
         for n in range(1, max_n + 1):
-            grams = set(_ngrams(tokens, n))
-            repeats = {}
-            if len(grams) < len(tokens) - n + 1:  # some n-gram occurs twice
-                repeats = {g: c for g, c in Counter(_ngrams(tokens, n)).items() if c > 1}
-            self._grams.append((grams, repeats))
+            grams = _ngrams(tokens, n)
+            if repeating:
+                grams = Counter(grams)
+                repeating = len(grams) < len(tokens) - n + 1  # some n-gram occurs twice
+            if repeating:
+                self._grams.append((grams.keys(), {g: c for g, c in grams.items() if c > 1}))
+            else:
+                self._grams.append((set(grams), {}))
         self._matches: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def clipped_matches(self, hypothesis: TokenSeq) -> tuple[int, ...]:

@@ -75,14 +75,16 @@ class SelfScorer(Scorer):
         return candidate.scores
 
 
-class NGramModel(record("NGramModel", "order alpha counts context_totals vocabulary")):
+class NGramModel(record("NGramModel", "order alpha counts log_probs vocabulary")):
     """Add-alpha-smoothed n-gram counts; immutable once trained.
 
-    ``counts`` maps a context tuple to its continuations' counts,
-    ``context_totals`` a context to the sum of those, and ``vocabulary`` (a
-    frozenset) holds every observed target, including the end symbol.
-    Probabilities normalize over the vocabulary plus one unknown class, so
-    for every context the probabilities of all events sum to one.
+    ``counts`` maps a context tuple to its continuations' counts and
+    ``vocabulary`` (a frozenset) holds every observed target, including the
+    end symbol.  ``log_probs`` maps each trained context to a pair: a dict
+    from each of its continuations to log p(token | context), and the log
+    probability of any other token after it.  Probabilities normalize over
+    the vocabulary plus one unknown class, so for every context the
+    probabilities of all events sum to one.
     """
 
     __slots__ = ()
@@ -96,8 +98,9 @@ class NGramModel(record("NGramModel", "order alpha counts context_totals vocabul
         Unknown tokens (and tokens in unseen contexts) fall into a single
         unknown class sharing the same smoothed mass.
         """
-        count = self.counts.get(context, {}).get(token, 0)
-        total = self.context_totals.get(context, 0)
+        by_token = self.counts.get(context, {})
+        count = by_token.get(token, 0)
+        total = sum(by_token.values())
         event_count = len(self.vocabulary) + 1  # one extra unknown class
         return (count + self.alpha) / (total + self.alpha * event_count)
 
@@ -113,20 +116,32 @@ def _check_settings(order: int, alpha: float) -> None:
 def _model(order: int, alpha: float, counts: dict[tuple[str, ...], dict[str, int]]) -> NGramModel:
     """The model of these counts; ValueError if some probability is 0, which has no log.
 
-    Context totals and the vocabulary are derived from the counts: every
-    context occurrence has exactly one continuation, and every trained token
-    (the end symbol too) occurs as some n-gram's target.
+    The vocabulary and the log-probability table are derived from the
+    counts: every context occurrence has exactly one continuation, so a
+    context's total is the sum of its counts, and every trained token (the
+    end symbol too) occurs as some n-gram's target.  Each table entry is the
+    log of ``NGramModel.probability``'s arithmetic, in the same order.
     """
     totals = {context: sum(by_token.values()) for context, by_token in counts.items()}
     vocab = frozenset(token for by_token in counts.values() for token in by_token)
+    smoothing = alpha * (len(vocab) + 1)  # one extra unknown class
     # the least probability of any event: an unknown token after the commonest context
     try:
-        least = alpha / (max(totals.values(), default=0) + alpha * (len(vocab) + 1))
+        least = alpha / (max(totals.values(), default=0) + smoothing)
     except OverflowError:  # a total beyond the float range
         least = 0.0
     if not least > 0:
         raise ValueError(f"n-gram counts too large for smoothing constant {alpha!r}")
-    return NGramModel(order, alpha, counts, totals, vocab)
+    log = math.log
+    log_probs = {}
+    for context, by_token in counts.items():
+        denominator = totals[context] + smoothing
+        # a loop, not a dict comprehension: twice as fast here
+        table = {}
+        for token, count in by_token.items():
+            table[token] = log((count + alpha) / denominator)
+        log_probs[context] = (table, log(alpha / denominator))
+    return NGramModel(order, alpha, counts, log_probs, vocab)
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1) -> NGramModel:
@@ -163,23 +178,27 @@ def ngram_score(
 ) -> list[float]:
     """Per-token log p(token | previous n-1 tokens), clamped to the floor.
 
-    The same arithmetic as ``NGramModel.probability``, in the same order, so
-    the scores are bit-identical to taking the log of it token by token.
+    Reads each token's log-probability from ``model.log_probs``; a context
+    the model never saw gives every token log(alpha / smoothing).  These are
+    the logs of ``NGramModel.probability``'s arithmetic, in the same order,
+    so the scores are bit-identical to taking the log of it token by token.
     Raises ValueError when ``score_floor`` is above zero or NaN.
     """
     if not score_floor <= 0:
         raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
-    n = model.order
+    n, alpha = model.order, model.alpha
     padded = (START_SYMBOL,) * (n - 1) + tuple(tokens)
     # contexts[i] is padded[i : i + n - 1]; an order-1 model has empty contexts
     contexts = zip(*[padded[i:] for i in range(n - 1)]) if n > 1 else repeat(())
-    counts, totals, alpha = model.counts, model.context_totals, model.alpha
+    table = model.log_probs
     smoothing = alpha * (len(model.vocabulary) + 1)  # one extra unknown class
-    log, no_counts = math.log, {}
+    unseen = ({}, math.log(alpha / smoothing))
+    # max(score_floor, score) without the call: the floor unless score is above it
     return [
-        max(score_floor, log((counts.get(ctx, no_counts).get(tok, 0) + alpha)
-                             / (totals.get(ctx, 0) + smoothing)))
+        score if score > score_floor else score_floor
         for ctx, tok in zip(contexts, tokens)
+        for by_token, unknown in (table.get(ctx, unseen),)
+        for score in (by_token.get(tok, unknown),)
     ]
 
 
@@ -237,10 +256,14 @@ def load_ngram(path: str) -> NGramModel:
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fp:
         header = fp.readline().split()
-        if len(header) != 3 or header[0] != "ngram":
-            raise ValueError(f"{path}: not an n-gram model file")
-        order, alpha = int(header[1]), float(header[2])
-        _check_settings(order, alpha)
+        try:  # a header error names line 1, as a count line's error names its line
+            if len(header) != 3 or header[0] != "ngram":
+                raise ValueError("not an n-gram model file")
+            order = int(header[1]) if header[1].isdecimal() else header[1]
+            alpha = float(header[2])
+            _check_settings(order, alpha)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
         for line_no, line in enumerate(fp, start=2):
             line = line.rstrip("\n")
             if not line:

@@ -455,8 +455,8 @@ def reference_oracle_best(
 # As they stood before ngram_score built its contexts with zip and BLEU counted
 # with Counter(zip(...)) and a cached reference: one tuple slice per token, one
 # generator per n-gram order.  The n-gram reference reads ``model.counts``
-# alone, not the totals and vocabulary the model derives from them, so a wrong
-# derivation shows.  References for the equivalence tests.
+# alone, not the log-probability table and vocabulary the model derives from
+# them, so a wrong derivation shows.  References for the equivalence tests.
 
 
 def reference_ngram_score(

@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import random
 import sys
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -66,8 +68,10 @@ from candidate_soups.scoring import (
     NGramScorer,
     Scorer,
     SelfScorer,
+    load_ngram,
     ngram_score,
     rescore_set,
+    save_ngram,
 )
 from helpers import (
     random_candidate_set,
@@ -440,6 +444,33 @@ def test_ngram_score_matches_reference(corpus, order, alpha, queries, floor):
         want = reference_ngram_score(model, tokens, floor)
         assert ngram_score(model, tokens, floor) == want  # bit-identical floats
         assert ngram_score(model, tuple(tokens), floor) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpus=st.lists(st.lists(TRAIN_TOKENS, max_size=8), min_size=1, max_size=6),
+    order=st.integers(min_value=1, max_value=4),
+    alpha=st.sampled_from([1e-6, 0.01, 0.1, 1.0, 7.5]),
+)
+def test_ngram_log_table_matches_probability(corpus, order, alpha):
+    # the whole table, not only the entries that queries reach; floats compare
+    # with ==, which for these finite, nonzero logs is bit-identity
+    model = train_ngram(corpus, n=order, alpha=alpha)
+    assert model.log_probs.keys() == model.counts.keys()
+    for context, (by_token, unknown) in model.log_probs.items():
+        assert by_token.keys() == model.counts[context].keys()
+        for token, logp in by_token.items():
+            assert logp == math.log(model.probability(context, token))
+        assert unknown == math.log(model.probability(context, "<unk>"))
+    if order >= 2:
+        never = ("never",) * (order - 1)
+        for token in ["a", "e", START_SYMBOL, END_SYMBOL]:
+            *_, score = ngram_score(model, [*never, token], score_floor=-math.inf)
+            assert score == math.log(model.probability(never, token))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "m.ngram")
+        save_ngram(model, path)
+        assert load_ngram(path) == model
 
 
 def test_ngram_score_floor_clamp_case_is_covered():

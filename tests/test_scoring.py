@@ -153,15 +153,21 @@ class TestPersistence:
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus"
+        named = re.escape(f"{path}: line 1: ")
         path.write_text("not a model\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=named + "not an n-gram model file"):
             load_ngram(str(path))
         # headers train_ngram would never write used to load; a NaN alpha
         # scored every token at the floor
         for header in ["ngram 3 nan", "ngram 3 inf", "ngram 3 -1", "ngram 0 0.1",
-                       f"ngram {MAX_ORDER + 1} 0.1"]:
+                       f"ngram {MAX_ORDER + 1} 0.1", "ngram 3.0 0.1", "ngram 40 0.1"]:
             path.write_text(header + "\na\tb\t1\n")
-            with pytest.raises(ValueError, match="order|smoothing"):
+            with pytest.raises(ValueError, match=named + "(n-gram order|smoothing)"):
+                load_ngram(str(path))
+        # a header error used to name neither the file nor its line
+        for header in ["ngram 3 abc", "ngram 3", "ngram", "ngram 3 0.1 x", ""]:
+            path.write_text(header + "\na\tb\t1\n")
+            with pytest.raises(ValueError, match=named):
                 load_ngram(str(path))
 
     @pytest.mark.parametrize(
