@@ -17,12 +17,11 @@ from itertools import repeat
 from operator import add, getitem
 from typing import Iterator, Union
 
-from .candidates import CandidateSet, record
+from .candidates import CandidateSet, _new, record
 
 PointerVector = tuple[int, ...]
 
 _END = object()  # stands past the last token of a candidate
-_new = tuple.__new__  # builds a record from fields that are already tuples
 
 # (token sequences, partition) of the last set partitioned; replaced whole
 _last_partition: tuple[tuple[tuple[str, ...], ...], AlignedPartition] | None = None

@@ -31,24 +31,37 @@ def _record_eq(self, other) -> bool:
     return type(other) is type(self) and tuple.__eq__(self, other)
 
 
-def record(name: str, fields: str) -> type:
+def record(name: str, fields: str, defaults: Iterable | None = None) -> type:
     """Base class of an immutable record type: a named tuple of ``fields``.
 
-    A record equals only a record of its own type with equal fields, as a
-    frozen dataclass does; its hash is the hash of the field tuple and its
-    repr ``Name(field=value, ...)``.  Subclasses set ``__slots__ = ()``, so
-    assigning any attribute raises AttributeError.  Building one is a
-    ``tuple.__new__`` call, far cheaper than a frozen dataclass's
-    ``object.__setattr__`` per field, and defining the class needs no
-    ``dataclasses`` import.  Build records through their class: the named
-    tuple's ``_make`` and ``_replace`` check ``len``, which
-    ``ScoredCandidate`` and ``CandidateSet`` redefine.
+    This is the package's one way to define an immutable value.  A record
+    equals only a record of its own type with equal fields, as a frozen
+    dataclass does; its hash is the hash of the field tuple and its repr
+    ``Name(field=value, ...)``.  ``defaults``, as for ``namedtuple``, are
+    the values of the last fields when a constructor call leaves them out.
+    Subclasses set ``__slots__ = ()``, so assigning any attribute raises
+    AttributeError.  Building one is a ``tuple.__new__`` call (``_new``),
+    far cheaper than a frozen dataclass's ``object.__setattr__`` per field,
+    and defining the class needs no ``dataclasses`` import.  Build records
+    through their class: the named tuple's ``_make`` and ``_replace`` check
+    ``len``, which ``ScoredCandidate`` and ``CandidateSet`` redefine.
     """
-    base = namedtuple(name, fields)
+    base = namedtuple(name, fields, defaults=defaults)
     base.__eq__ = _record_eq
     base.__ne__ = lambda self, other: not _record_eq(self, other)
     base.__hash__ = tuple.__hash__
     return base
+
+
+def _decimal(text: str) -> int | None:
+    """``text`` as an integer if it is ASCII digits alone, else None.
+
+    The one parser of every count, order and bound read from outside.
+    """
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts: the caller's own message follows
+        return None
 
 
 class ScoredCandidate(record("ScoredCandidate", "tokens scores")):
@@ -57,7 +70,7 @@ class ScoredCandidate(record("ScoredCandidate", "tokens scores")):
     __slots__ = ()
 
     def __new__(cls, tokens: Iterable[str], scores: Iterable[float]) -> ScoredCandidate:
-        return tuple.__new__(cls, (tuple(tokens), tuple(map(float, scores))))
+        return _new(cls, (tuple(tokens), tuple(map(float, scores))))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,7 +91,7 @@ class CandidateSet(record("CandidateSet", "id candidates source")):
         source: Iterable[str] | None = None,
     ) -> CandidateSet:
         source = tuple(source) if source is not None else None
-        return tuple.__new__(cls, (id, tuple(candidates), source))
+        return _new(cls, (id, tuple(candidates), source))
 
     def __len__(self) -> int:
         return len(self.candidates)

@@ -10,9 +10,11 @@ that need a whole input (compare, bleu, ngram-train) stop at the first bad
 line with one such diagnostic (``_Stop``).  The process exits 0 on success,
 1 when any line failed, 2 on usage errors.  A usage error is reported as one
 line-0 diagnostic before any input is read: an argument that argparse or its
-type (``_positive_int``, ``_positive_float``, ``_order``, ``_k_range``)
-rejects, a ``synth`` noise flag that ``NoiseConfig`` rejects, or a
-``--scorer`` that is unknown or names a model that ``load_ngram`` rejects.
+type (``_int_in``, ``_positive_float``, ``_k_range``) rejects, a ``synth``
+noise flag that ``NoiseConfig`` rejects, or a ``--scorer`` that is unknown
+or names a model that ``load_ngram`` rejects.  A count, order or bound is
+ASCII decimal digits alone (``candidates._decimal``); ``--seed`` and the
+float flags take what ``int()`` and ``float()`` take.
 
 Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
@@ -39,6 +41,7 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
+    _decimal,
     _tokens_valid,
     remove_adjacent_duplicates,
     validate,
@@ -99,15 +102,17 @@ def _make_scorer(selector: str) -> Scorer:
     raise UsageError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer of ASCII digits in lo..hi (no bound above when hi is None)."""
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def parse(text: str) -> int:
+        value = _decimal(text)
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -121,17 +126,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _order(text: str) -> int:
-    """An argparse type: an n-gram order, an integer in 1..MAX_ORDER."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_ORDER}, got {text!r}")
-    return value
-
-
 # ``compare`` sets up two BLEU accumulators per swept count before it reads
 # any input, and fuses every record once per count: B bounds memory and time.
 MAX_SWEEP_K = 1000
@@ -140,10 +134,7 @@ MAX_SWEEP_K = 1000
 def _k_range(text: str) -> range:
     """An argparse type: ``A..B`` with 1 <= A <= B <= MAX_SWEEP_K, as the counts A to B."""
     lo, _, hi = text.partition("..")
-    try:
-        start, stop = int(lo), int(hi)
-    except ValueError:
-        start = stop = 0
+    start, stop = _decimal(lo) or 0, _decimal(hi) or 0
     if not 1 <= start <= stop <= MAX_SWEEP_K:
         raise argparse.ArgumentTypeError(f"{text!r} is not A..B with 1 <= A <= B <= {MAX_SWEEP_K}")
     return range(start, stop + 1)
@@ -334,11 +325,9 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
 
 
 def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
-    from dataclasses import fields
-
     from .synth import NoiseConfig, Vocabulary, generate_candidates
 
-    flags = {field.name: getattr(args, field.name) for field in fields(NoiseConfig)}
+    flags = {name: getattr(args, name) for name in NoiseConfig._fields}
     try:
         config = NoiseConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
@@ -548,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate candidate records from reference sentences")
     synth.add_argument("refs", help="one whitespace-tokenized sentence per line")
-    synth.add_argument("--k", type=_positive_int, default=5, help="candidates per sentence")
+    synth.add_argument("--k", type=_int_in(1), default=5, help="candidates per sentence")
     synth.add_argument("--seed", dest="rng_seed", type=int, default=None)
     for noise in ("substitution-rate", "insertion-rate", "deletion-rate", "duplication-rate",
                   "correct-score-mean", "correct-score-std", "error-score-mean", "error-score-std"):
@@ -564,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read hypotheses from fusion records' 'output' fields",
     )
     bleu.add_argument("--smooth", type=_positive_float, default=None, metavar="EPS")
-    bleu.add_argument("--max-n", type=_order, default=4)
+    bleu.add_argument("--max-n", type=_int_in(1, MAX_ORDER), default=4)
     bleu.set_defaults(handler=cmd_bleu)
 
     compare = sub.add_parser(
@@ -586,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("ngram-train", help="train and persist an n-gram scorer model")
     train.add_argument("corpus", help="tokenized text, one sentence per line ('-' for stdin)")
     train.add_argument("-o", "--output", required=True)
-    train.add_argument("--order", type=_order, default=3)
+    train.add_argument("--order", type=_int_in(1, MAX_ORDER), default=3)
     train.add_argument("--alpha", type=_positive_float, default=0.1)
     train.set_defaults(handler=cmd_ngram_train)
 

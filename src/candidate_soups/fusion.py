@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from math import fsum
 
 from .alignment import Anchor, DivergenceRegion, partition
-from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, record, validate
+from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, _new, record, validate
 from .scoring import Scorer, SelfScorer, rescore_set
 
 
@@ -28,9 +28,6 @@ class FusionResult(record("FusionResult", "tokens trace")):
     """Fused token sequence plus the per-region decision trace."""
 
     __slots__ = ()
-
-
-_new = tuple.__new__  # builds a record from fields that are already tuples
 
 
 def select_segment(region: DivergenceRegion, scores: Sequence[Sequence[float]]) -> RegionChoice:

@@ -22,6 +22,8 @@ from .candidates import (
     DEFAULT_SCORE_FLOOR,
     CandidateSet,
     ScoredCandidate,
+    _decimal,
+    _new,
     _tokens_valid,
     record,
     remove_adjacent_duplicates,
@@ -43,8 +45,6 @@ NGRAM_MEMO_SIZE = 64
 # takes.  Scoring builds order - 1 shifted slices per candidate and BLEU one
 # count per order, so the cost of an order grows with its square.
 MAX_ORDER = 32
-
-_new = tuple.__new__  # builds a record from fields that are already tuples
 
 
 class Scorer:
@@ -250,8 +250,9 @@ def load_ngram(path: str) -> NGramModel:
     """Load a model written by ``save_ngram``, or raise ValueError.
 
     A count line that ``save_ngram`` would not write is an error that names
-    the line, and ``_model`` checks the counts, so every ``ngram_score`` of a
-    model that loads is a finite log-probability.
+    the line (the order and every count are ASCII decimal digits), and
+    ``_model`` checks the counts, so every ``ngram_score`` of a model that
+    loads is a finite log-probability.
     """
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fp:
@@ -259,19 +260,19 @@ def load_ngram(path: str) -> NGramModel:
         try:  # a header error names line 1, as a count line's error names its line
             if len(header) != 3 or header[0] != "ngram":
                 raise ValueError("not an n-gram model file")
-            order = int(header[1]) if header[1].isdecimal() else header[1]
+            order = _decimal(header[1])
             alpha = float(header[2])
-            _check_settings(order, alpha)
+            _check_settings(header[1] if order is None else order, alpha)
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: {exc}") from None
         for line_no, line in enumerate(fp, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            try:  # every ValueError of the line (a bad field count, too many digits) names it
+            try:  # every ValueError of the line (a bad field count too) names it
                 context_part, token, count_text = line.split("\t")
                 context = tuple(context_part.split(" ")) if context_part else ()
-                count = int(count_text) if count_text.isdecimal() else 0
+                count = _decimal(count_text) or 0
                 by_token = counts.setdefault(context, {})
                 if (
                     count < 1

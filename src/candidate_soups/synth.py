@@ -16,37 +16,36 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate
+from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate, record
 from .errors import EmptyInput
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    substitution_rate: float = 0.15
-    insertion_rate: float = 0.03
-    deletion_rate: float = 0.03
-    duplication_rate: float = 0.05
-    correct_score_mean: float = -0.15
-    correct_score_std: float = 0.05
-    error_score_mean: float = -2.0
-    error_score_std: float = 0.5
-    rng_seed: int = 0
+class NoiseConfig(record(
+    "NoiseConfig",
+    "substitution_rate insertion_rate deletion_rate duplication_rate"
+    " correct_score_mean correct_score_std error_score_mean error_score_std rng_seed",
+    defaults=(0.15, 0.03, 0.03, 0.05, -0.15, 0.05, -2.0, 0.5, 0),
+)):
+    """The channel's rates, score distributions and seed; ValueError when one is out of range."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> NoiseConfig:
+        config = super().__new__(cls, *args, **kwargs)
         for name in ("substitution_rate", "insertion_rate", "deletion_rate", "duplication_rate"):
-            rate = getattr(self, name)
+            rate = getattr(config, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         for name in ("correct_score_mean", "error_score_mean"):
-            mean = getattr(self, name)
+            mean = getattr(config, name)
             if not -math.inf < mean <= 0:
                 raise ValueError(f"{name} must be a finite number <= 0, got {mean}")
         for name in ("correct_score_std", "error_score_std"):
-            std = getattr(self, name)
+            std = getattr(config, name)
             if not 0 <= std < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 0, got {std}")
+        return config
 
 
 class Vocabulary(tuple):

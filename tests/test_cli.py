@@ -790,6 +790,9 @@ BAD_MODELS = {
     "overflow.ngram": (72, "ngram 1 0.1\n\ta\t" + "9" * 400 + "\n"),
     # an order above the bound used to load, and scoring built order - 1 slices per candidate
     "order-above-bound.ngram": (75, f"ngram {MAX_ORDER + 1} 0.1\n"),
+    # full-width digits used to load as the order 1 and the count 2
+    "full-width-order.ngram": (82, "ngram \uff11 0.1\n"),
+    "full-width-count.ngram": (85, "ngram 1 0.1\n\ta\t\uff12\n"),
 }
 
 
@@ -849,6 +852,8 @@ def flag_case(number, argv, named):
         # 1 was a valid --max-candidates
         flag_case(80, ["fuse", "--max-candidates", "1"], "--max-candidates"),
         flag_case(81, ["npd", "--max-candidates", "1"], "--max-candidates"),
+        # a full-width digit used to read as 7
+        flag_case(88, ["compare", "--refs", "unused.txt", "--sweep-k", "1..\uff17"], "--sweep-k"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -856,7 +861,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
     # argparse's plain-text usage and raise SystemExit
     monkeypatch.chdir(tmp_path)
     for name, (_, text) in BAD_MODELS.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdin=_UnreadableInput(), stdout=out, stderr=err)
     assert code == 2
@@ -866,25 +871,39 @@ def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
     assert diagnostic["line"] == 0 and named in diagnostic["error"]
 
 
+def setting_case(number, argv, score_floor, named):
+    """A row of ``test_bad_command_setting_is_usage_error``, with its id written
+    in the row as ``flag_case`` writes one; the numbers are the positional ids
+    the rows first had."""
+    return pytest.param(argv, score_floor, named, id=f"argv{number}-{score_floor}-{named}")
+
+
 @pytest.mark.parametrize(
     "argv, score_floor, named",
     [
-        (["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
-        (["bleu", "h.txt", "r.txt", "--smooth", "nan"], None, "--smooth"),
-        (["ngram-train", "-", "-o", "m.ngram", "--order", "0"], None, "--order"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
-        (["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
-        (["synth", "r.txt", "--k", "0"], None, "--k"),
-        (["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
+        setting_case(0, ["bleu", "h.txt", "r.txt", "--max-n", "0"], None, "--max-n"),
+        setting_case(1, ["bleu", "h.txt", "r.txt", "--smooth", "-1"], None, "--smooth"),
+        setting_case(2, ["bleu", "h.txt", "r.txt", "--smooth", "nan"], None, "--smooth"),
+        setting_case(3, ["ngram-train", "-", "-o", "m.ngram", "--order", "0"], None, "--order"),
+        setting_case(4, ["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
+        setting_case(5, ["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
+        setting_case(6, ["synth", "r.txt", "--k", "0"], None, "--k"),
+        setting_case(7, ["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
         # CDS_SCORE_FLOOR is no longer read: a bad value is not a diagnostic
-        (["synth", "r.txt", "--k", "0"], "abc", "--k"),
+        setting_case(8, ["synth", "r.txt", "--k", "0"], "abc", "--k"),
         # non-finite noise settings used to pass and write floor scores
-        (["synth", "r.txt", "--correct-score-mean", "nan"], None, "correct_score_mean"),
-        (["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
+        setting_case(9, ["synth", "r.txt", "--correct-score-mean", "nan"], None,
+                     "correct_score_mean"),
+        setting_case(10, ["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
         # orders above the bound: the cost of an order grows with its square
-        (["bleu", "h.txt", "r.txt", "--max-n", str(MAX_ORDER + 1)], None, "--max-n"),
-        (["ngram-train", "-", "-o", "m.ngram", "--order", str(MAX_ORDER + 1)], None, "--order"),
+        setting_case(11, ["bleu", "h.txt", "r.txt", "--max-n", str(MAX_ORDER + 1)], None,
+                     "--max-n"),
+        setting_case(12, ["ngram-train", "-", "-o", "m.ngram", "--order", str(MAX_ORDER + 1)],
+                     None, "--order"),
+        # a count or order is ASCII digits alone: int() took each of these
+        setting_case(13, ["synth", "r.txt", "--k", "\uff13"], None, "--k"),
+        setting_case(14, ["bleu", "h.txt", "r.txt", "--max-n", "+4"], None, "--max-n"),
+        setting_case(15, ["ngram-train", "-", "-o", "m.ngram", "--order", "1_0"], None, "--order"),
     ],
 )
 def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):
@@ -907,7 +926,7 @@ def test_sweep_k_bound_is_inclusive():
 
 
 def test_order_bound_is_inclusive():
-    assert cli._order(str(MAX_ORDER)) == MAX_ORDER
+    assert cli._int_in(1, MAX_ORDER)(str(MAX_ORDER)) == MAX_ORDER
 
 
 # every value a command takes, 31 in all: a new option is a decision to change this table

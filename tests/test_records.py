@@ -15,6 +15,7 @@ from candidate_soups.bleu import BleuReport
 from candidate_soups.fusion import RegionChoice
 from candidate_soups.lattice_oracle import SimplifiedLattice
 from candidate_soups.scoring import NGramModel
+from candidate_soups.synth import NoiseConfig
 
 SC = ScoredCandidate(("a", "b"), (0.0, -1.0))
 SC_REPR = "ScoredCandidate(tokens=('a', 'b'), scores=(0.0, -1.0))"
@@ -107,3 +108,30 @@ def test_candidate_set_coerces_lists():
     assert len(cset) == 2
     assert CandidateSet(id="t", candidates=[SC]).source is None
     assert len(CandidateSet("e", [])) == 0 and not CandidateSet("e", [])
+
+
+def test_noise_config_behaves_as_its_frozen_dataclass():
+    # its own test: the shared equality test builds cls("other ...", ...), which it rejects
+    fields = ("substitution_rate", "insertion_rate", "deletion_rate", "duplication_rate",
+              "correct_score_mean", "correct_score_std", "error_score_mean", "error_score_std",
+              "rng_seed")
+    assert NoiseConfig._fields == fields
+    config = NoiseConfig()
+    assert repr(config) == (
+        "NoiseConfig(substitution_rate=0.15, insertion_rate=0.03, deletion_rate=0.03, "
+        "duplication_rate=0.05, correct_score_mean=-0.15, correct_score_std=0.05, "
+        "error_score_mean=-2.0, error_score_std=0.5, rng_seed=0)"
+    )
+    seeded = NoiseConfig(deletion_rate=0.5, rng_seed=7)
+    assert seeded == NoiseConfig(0.15, 0.03, 0.5, 0.05, -0.15, 0.05, -2.0, 0.5, 7)
+    assert seeded != config and not seeded == config
+    assert config == NoiseConfig() and not config != NoiseConfig()
+    assert config != tuple(config) and config != object()
+    values = tuple(getattr(config, name) for name in fields)
+    assert values == (0.15, 0.03, 0.03, 0.05, -0.15, 0.05, -2.0, 0.5, 0)
+    assert hash(config) == hash(NoiseConfig()) == hash(values)
+    with pytest.raises(AttributeError):
+        config.rng_seed = 1
+    with pytest.raises(AttributeError):
+        config.extra = 1
+    assert config == NoiseConfig()

@@ -160,8 +160,10 @@ class TestPersistence:
         # headers train_ngram would never write used to load; a NaN alpha
         # scored every token at the floor
         for header in ["ngram 3 nan", "ngram 3 inf", "ngram 3 -1", "ngram 0 0.1",
-                       f"ngram {MAX_ORDER + 1} 0.1", "ngram 3.0 0.1", "ngram 40 0.1"]:
-            path.write_text(header + "\na\tb\t1\n")
+                       f"ngram {MAX_ORDER + 1} 0.1", "ngram 3.0 0.1", "ngram 40 0.1",
+                       # a full-width digit used to load as order 1
+                       "ngram \uff11 0.1"]:
+            path.write_text(header + "\na\tb\t1\n", encoding="utf-8")
             with pytest.raises(ValueError, match=named + "(n-gram order|smoothing)"):
                 load_ngram(str(path))
         # a header error used to name neither the file nor its line
@@ -186,6 +188,8 @@ class TestPersistence:
             ("ngram 1 0.1\n\ta\u2028\t1\n", 2),
             ("ngram 3 0.1\n<s>  \ta\t1\n", 2),
             ("ngram 2 0.1\n<s>\ta\t1\na\tb\t1\n<s>\ta\t1\n", 4),
+            # a full-width digit used to load as the count 2
+            ("ngram 1 0.1\n\ta\t\uff12\n", 2),
         ],
     )
     def test_bad_count_line_is_named(self, tmp_path, text, line):

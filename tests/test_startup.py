@@ -77,6 +77,18 @@ def test_command_loads_only_what_it_runs(bare, tmp_path, argv, uses):
     assert loaded & optional == uses
 
 
+def test_synth_loads_only_what_it_runs(bare, tmp_path):
+    # NoiseConfig was a frozen dataclass, and synth loaded dataclasses and inspect
+    (tmp_path / "refs.txt").write_text("a b c\n")
+    names, code = imported(["-m", "candidate_soups", "synth", "refs.txt"], cwd=tmp_path)
+    assert code == 0
+    loaded = names - bare
+    assert "candidate_soups.synth" in loaded
+    never = NEVER - {"candidate_soups.synth"} | {"inspect"}
+    assert not loaded & never
+    assert not loaded & {"candidate_soups.bleu", "candidate_soups.lattice_oracle"}
+
+
 def test_package_import_loads_no_submodule(bare):
     names, code = imported(["-c", "import candidate_soups"])
     assert code == 0
