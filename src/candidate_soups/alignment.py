@@ -13,9 +13,9 @@ computation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import repeat
 from operator import add, getitem
-from typing import Iterator, Union
 
 from .candidates import CandidateSet, _new, record
 
@@ -43,7 +43,7 @@ class DivergenceRegion(record("DivergenceRegion", "start end segments")):
     __slots__ = ()
 
 
-PartitionElement = Union[Anchor, DivergenceRegion]
+PartitionElement = Anchor | DivergenceRegion
 
 
 class AlignedPartition(record("AlignedPartition", "elements")):

@@ -186,19 +186,14 @@ def validate(
             raise LengthMismatch(f"{where}: {len(tokens)} tokens vs {len(scores)} scores")
         if not _tokens_valid(tokens):
             _check_tokens(tokens, where)
-        fixed: list[float] = []
-        touched = False
-        for score in scores:
-            if isnan(score) or score > 0:
-                raise PositiveScore(f"{where}: score {score!r} must be <= 0")
-            if score < score_floor:
-                fixed.append(score_floor)
-                touched = True
-                clamped += 1
-            else:
-                fixed.append(score)
+        # here some score lies outside [score_floor, 0]: either one is NaN or
+        # positive, or the candidate has a score to clamp
+        bad = next((s for s in scores if not s <= 0), None)
+        if bad is not None:
+            raise PositiveScore(f"{where}: score {bad!r} must be <= 0")
+        clamped += sum(s < score_floor for s in scores)
         # the constructor makes an int floor a float
-        out.append(ScoredCandidate(tokens, fixed) if touched else cand)
+        out.append(ScoredCandidate(tokens, [max(s, score_floor) for s in scores]))
 
     if clamped:
         if warn is not None:

@@ -35,7 +35,6 @@ import sys
 import time
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
-from typing import IO
 
 from .candidates import (
     DEFAULT_SCORE_FLOOR,
@@ -59,6 +58,8 @@ from .scoring import (
     save_ngram,
     train_ngram,
 )
+
+IO = io.TextIOBase  # the text stream the annotations name; typing.IO would load typing
 
 # Only ``fuse --oracle-check`` calls these two, so no other command loads
 # ``lattice_oracle``.  ``cmd_fuse`` calls them through the module globals,
@@ -209,7 +210,7 @@ _LINE_BREAK_ESCAPES = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)  # writes a tuple as a list
 
 
-def _dump(obj: dict, out: IO[str]) -> None:
+def _dump(obj: dict, out: IO) -> None:
     text = _ENCODER.encode(obj)
     if not text.isascii():
         if _LONE_SURROGATE.search(text):
@@ -219,12 +220,12 @@ def _dump(obj: dict, out: IO[str]) -> None:
     out.write("\n")
 
 
-def _diagnostic(err: IO[str], line_no: int, message: str) -> None:
+def _diagnostic(err: IO, line_no: int, message: str) -> None:
     _dump({"line": line_no, "error": message}, err)
 
 
 @contextmanager
-def _input_lines(path: str, stdin: IO[str] | None = None):
+def _input_lines(path: str, stdin: IO | None = None):
     """Open ``path`` (``-``: ``stdin``, when given) and yield its numbered lines.
 
     Each item is ``(line_no, line)``, counted from 1, with ``line`` None
@@ -251,7 +252,7 @@ class _Stop(Exception):
 
 
 def _iter_records(
-    lines: Iterator[tuple[int, str | None]], err: IO[str]
+    lines: Iterator[tuple[int, str | None]], err: IO
 ) -> Iterator[tuple[int, CandidateSet | None]]:
     """Yield (line number, parsed set) pairs from ``_input_lines``; parse failures yield None."""
 
@@ -277,9 +278,9 @@ def _iter_records(
 
 def _stream(
     args: argparse.Namespace,
-    stdin: IO[str],
-    stdout: IO[str],
-    stderr: IO[str],
+    stdin: IO,
+    stdout: IO,
+    stderr: IO,
     output: Callable[[CandidateSet], dict],
 ) -> int:
     """Write ``output`` of every record; a ``CdsError`` fails only its record's line."""
@@ -297,7 +298,7 @@ def _stream(
     return 1 if failed else 0
 
 
-def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+def cmd_fuse(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     scorer = _make_scorer(args.scorer)
 
     def output(cset: CandidateSet) -> dict:
@@ -314,7 +315,7 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: 
     return _stream(args, stdin, stdout, stderr, output)
 
 
-def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+def cmd_npd(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     scorer = _make_scorer(args.scorer)
 
     def output(cset: CandidateSet) -> dict:
@@ -324,7 +325,7 @@ def cmd_npd(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: I
     return _stream(args, stdin, stdout, stderr, output)
 
 
-def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+def cmd_synth(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     from .synth import NoiseConfig, Vocabulary, generate_candidates
 
     flags = {name: getattr(args, name) for name in NoiseConfig._fields}
@@ -356,7 +357,7 @@ def cmd_synth(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr:
     return 1 if failed else 0
 
 
-def _read_token_lines(path: str, stdin: IO[str] | None = None) -> list[tuple[str, ...]]:
+def _read_token_lines(path: str, stdin: IO | None = None) -> list[tuple[str, ...]]:
     """Every line of ``path`` split into tokens; an invalid UTF-8 line stops the command."""
     out = []
     with _input_lines(path, stdin) as lines:
@@ -399,7 +400,7 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
     return out
 
 
-def cmd_bleu(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+def cmd_bleu(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     from .bleu import corpus_bleu
 
     hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
@@ -419,7 +420,7 @@ def _truncated(cset: CandidateSet, k: int) -> CandidateSet:
     return CandidateSet(cset.id, cset.candidates[:k], cset.source)
 
 
-def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]) -> int:
+def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     from .bleu import BleuAccumulator, Reference
 
     scorer = _make_scorer(args.scorer)
@@ -497,7 +498,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stder
 
 
 def cmd_ngram_train(
-    args: argparse.Namespace, stdin: IO[str], stdout: IO[str], stderr: IO[str]
+    args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO
 ) -> int:
     corpus = [tokens for tokens in _read_token_lines(args.corpus, stdin) if tokens]
     model = train_ngram(corpus, n=args.order, alpha=args.alpha)
@@ -582,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _utf8(stream: IO[str], errors: str) -> IO[str]:
+def _utf8(stream: IO, errors: str) -> IO:
     """``stream`` set to UTF-8 whatever the locale, with the handler of Python's UTF-8 mode."""
     if isinstance(stream, io.TextIOWrapper):
         stream.reconfigure(encoding="utf-8", errors=errors)
@@ -591,9 +592,9 @@ def _utf8(stream: IO[str], errors: str) -> IO[str]:
 
 def main(
     argv: Sequence[str] | None = None,
-    stdin: IO[str] | None = None,
-    stdout: IO[str] | None = None,
-    stderr: IO[str] | None = None,
+    stdin: IO | None = None,
+    stdout: IO | None = None,
+    stderr: IO | None = None,
 ) -> int:
     stdin = stdin if stdin is not None else _utf8(sys.stdin, "surrogateescape")
     stdout = stdout if stdout is not None else _utf8(sys.stdout, "surrogateescape")

@@ -17,7 +17,7 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 
-from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate, record
+from .candidates import DEFAULT_SCORE_FLOOR, CandidateSet, ScoredCandidate, _new, record
 from .errors import EmptyInput
 
 
@@ -48,17 +48,17 @@ class NoiseConfig(record(
         return config
 
 
-class Vocabulary(tuple):
-    """Distinct tokens in first-appearance order; ``positions`` maps each to its index.
+class Vocabulary(record("Vocabulary", "tokens positions")):
+    """Distinct ``tokens`` in first-appearance order; ``positions`` maps each to its index.
 
     ``generate_candidates`` takes one; build it once for many calls.
     """
 
+    __slots__ = ()
+
     def __new__(cls, tokens: Iterable[str]) -> Vocabulary:
         positions = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
-        self = super().__new__(cls, positions)
-        self.positions = positions
-        return self
+        return _new(cls, (tuple(positions), positions))
 
 
 def _clamp(score: float) -> float:
@@ -74,11 +74,12 @@ def _corrupt(
     def error() -> float:
         return _clamp(rng.gauss(config.error_score_mean, config.error_score_std))
 
+    words = vocab.tokens
     tokens: list[str] = []
     scores: list[float] = []
     for tok in reference:
         if rng.random() < config.insertion_rate:
-            tokens.append(vocab[rng.randrange(len(vocab))])
+            tokens.append(words[rng.randrange(len(words))])
             scores.append(error())
         if rng.random() < config.deletion_rate:
             continue
@@ -86,13 +87,13 @@ def _corrupt(
         if substituted:
             # draw from the vocabulary excluding the reference token itself
             pos = vocab.positions.get(tok, -1)
-            if pos >= 0 and len(vocab) > 1:
-                idx = rng.randrange(len(vocab) - 1)
+            if pos >= 0 and len(words) > 1:
+                idx = rng.randrange(len(words) - 1)
                 if idx >= pos:
                     idx += 1
             else:
-                idx = rng.randrange(len(vocab))
-            emitted = vocab[idx]
+                idx = rng.randrange(len(words))
+            emitted = words[idx]
             substituted = emitted != tok
         else:
             emitted = tok
@@ -103,7 +104,7 @@ def _corrupt(
             tokens.append(emitted)
             scores.append(error() if substituted else correct())
     if not tokens:
-        tokens.append(vocab[rng.randrange(len(vocab))])
+        tokens.append(words[rng.randrange(len(words))])
         scores.append(error())
     return ScoredCandidate(tuple(tokens), tuple(scores))
 
@@ -125,7 +126,7 @@ def generate_candidates(
         raise EmptyInput(f"reference {ident!r} is empty")
     if k < 1:
         raise ValueError(f"candidate count must be >= 1, got {k}")
-    if not vocab:
+    if not vocab.tokens:
         raise ValueError("vocabulary is empty")
     candidates = tuple(
         _corrupt(reference, random.Random(f"{config.rng_seed}:{ident}:{i}"), config, vocab)

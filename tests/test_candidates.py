@@ -154,3 +154,10 @@ class TestValidate:
     def test_negative_infinity_clamped(self):
         cset = CandidateSet("s", (cand(["a"], [float("-inf")]),))
         assert validate(cset).candidates[0].scores == (-30.0,)
+
+    def test_clamp_keeps_and_does_not_count_scores_at_or_above_the_floor(self):
+        cset = CandidateSet("s", (cand(["a", "b", "c"], [-45.0, -30.0, -1.0]), cand(["d"], [-2.0])))
+        messages = []
+        out = validate(cset, -30.0, messages.append)
+        assert [c.scores for c in out.candidates] == [(-30.0, -30.0, -1.0), (-2.0,)]
+        assert messages == ["clamped 1 score(s) below -30.0 in candidate set s"]

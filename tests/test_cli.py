@@ -364,12 +364,15 @@ class TestBleu:
                 f"invalid JSON: {_decoder_recursion_error(TOO_DEEP)}",
                 id="nested-too-deep",
             ),
+            # a surrogate escape is written as the byte it stands for
+            pytest.param('{"output": ["a"]}\udcff', "line is not valid UTF-8", id="invalid-utf8"),
         ],
     )
     def test_malformed_jsonl_line_named(self, tmp_path, line, message):
         # a JSON error used to say "line 1 column 1" with diagnostic line 0
         hyp = tmp_path / "hyp.jsonl"
-        hyp.write_text('{"output": ["a", "b"]}\n' + line + "\n")
+        text = '{"output": ["a", "b"]}\n' + line + "\n"
+        hyp.write_bytes(text.encode("utf-8", "surrogateescape"))
         ref = tmp_path / "ref.txt"
         ref.write_text("a b\nc d\n")
         code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
@@ -377,6 +380,17 @@ class TestBleu:
         assert [json.loads(text) for text in err.splitlines()] == [
             {"line": 2, "error": f"{hyp}: {message}"}
         ]
+
+    def test_jsonl_blank_lines_are_skipped(self, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
+        records = [json.dumps({"output": list(text)}) for text in ("abcd", "efgh")]
+        hyp.write_text(f"\n{records[0]}\n \t\n\n{records[1]}\n\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b c d\ne f g h\n")
+        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["bleu"] == 100.0 and report["hyp_len"] == report["ref_len"] == 8
 
     @pytest.mark.parametrize(
         "tokens, bad",
@@ -793,6 +807,8 @@ BAD_MODELS = {
     # full-width digits used to load as the order 1 and the count 2
     "full-width-order.ngram": (82, "ngram \uff11 0.1\n"),
     "full-width-count.ngram": (85, "ngram 1 0.1\n\ta\t\uff12\n"),
+    # more digits than int() converts: read as no count at all
+    "too-many-digits-count.ngram": (89, "ngram 1 0.1\n\ta\t" + TOO_MANY_DIGITS + "\n"),
 }
 
 
@@ -854,6 +870,9 @@ def flag_case(number, argv, named):
         flag_case(81, ["npd", "--max-candidates", "1"], "--max-candidates"),
         # a full-width digit used to read as 7
         flag_case(88, ["compare", "--refs", "unused.txt", "--sweep-k", "1..\uff17"], "--sweep-k"),
+        # more digits than int() converts
+        flag_case(92, ["compare", "--refs", "unused.txt", "--sweep-k", "1.." + TOO_MANY_DIGITS],
+                  "--sweep-k"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -904,6 +923,9 @@ def setting_case(number, argv, score_floor, named):
         setting_case(13, ["synth", "r.txt", "--k", "\uff13"], None, "--k"),
         setting_case(14, ["bleu", "h.txt", "r.txt", "--max-n", "+4"], None, "--max-n"),
         setting_case(15, ["ngram-train", "-", "-o", "m.ngram", "--order", "1_0"], None, "--order"),
+        # not a number at all
+        setting_case(16, ["ngram-train", "-", "-o", "m.ngram", "--alpha", "x"], None, "--alpha"),
+        setting_case(17, ["bleu", "h.txt", "r.txt", "--smooth", "x"], None, "--smooth"),
     ],
 )
 def test_bad_command_setting_is_usage_error(tmp_path, monkeypatch, argv, score_floor, named):

@@ -15,7 +15,7 @@ from candidate_soups.bleu import BleuReport
 from candidate_soups.fusion import RegionChoice
 from candidate_soups.lattice_oracle import SimplifiedLattice
 from candidate_soups.scoring import NGramModel
-from candidate_soups.synth import NoiseConfig
+from candidate_soups.synth import NoiseConfig, Vocabulary
 
 SC = ScoredCandidate(("a", "b"), (0.0, -1.0))
 SC_REPR = "ScoredCandidate(tokens=('a', 'b'), scores=(0.0, -1.0))"
@@ -51,6 +51,9 @@ CASES = [
          "hyp_length=3, ref_length=4)"),
     case(10, SimplifiedLattice, (AlignedPartition(()), ((-0.5, -0.25),)),
          "SimplifiedLattice(partition=AlignedPartition(elements=()), means=((-0.5, -0.25),))"),
+    # a tuple subclass before: it took attribute assignment and equalled its token tuple
+    case(11, Vocabulary, (("a", "b", "a"),),
+         "Vocabulary(tokens=('a', 'b'), positions={'a': 0, 'b': 1})"),
 ]
 
 
@@ -64,6 +67,7 @@ def test_equality_is_by_value_within_the_type(cls, args, want):
     one, two = cls(*args), cls(*args)
     assert one == two and not one != two
     assert one != tuple(args) and not one == tuple(args)
+    assert one != tuple(one) and not one == tuple(one)
     assert tuple(args) != one
     assert one != object()
     other_first = (f"other {args[0]}",) + tuple(args[1:])
@@ -73,7 +77,7 @@ def test_equality_is_by_value_within_the_type(cls, args, want):
 @pytest.mark.parametrize("cls, args, want", CASES)
 def test_hash_is_the_field_tuple_hash(cls, args, want):
     record = cls(*args)
-    if cls is NGramModel:  # its count dicts are unhashable, as they were
+    if cls in (NGramModel, Vocabulary):  # their dict fields are unhashable
         with pytest.raises(TypeError):
             hash(record)
         return

@@ -1,11 +1,13 @@
 """A ``cds`` process loads only the modules its command runs.
 
-Each case starts a fresh ``python -v -m candidate_soups`` and reads the
+Each case starts a fresh ``python -S -v -m candidate_soups`` and reads the
 modules it imported from the ``import '<name>'`` lines on stderr.
 (``-X importtime`` would miss the lazy imports: it times only the
 ``import`` statement's C path, not ``importlib.import_module`` or
-``from . import name``.)  Modules the bare interpreter already imports
-(``site`` may pull in some) are not charged to the command.
+``from . import name``.)  Modules the bare interpreter already imports are
+not charged to the command.  ``-S`` keeps ``site`` and the ``.pth`` files
+it runs from loading modules (``typing``, say) that would hide a command's
+own import of them.
 """
 
 import json
@@ -20,14 +22,14 @@ import pytest
 from helpers import CROSS_ERROR_FUSED, CROSS_ERROR_SCORES, CROSS_ERROR_TOKENS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NEVER = {"logging", "dataclasses", "candidate_soups.synth"}
+NEVER = {"logging", "dataclasses", "typing", "candidate_soups.synth"}
 IMPORT_LINE = re.compile(r"^import '([^']+)'", re.MULTILINE)
 
 
 def imported(args, stdin=b"", cwd=None):
-    """Modules imported by ``python -v <args>``, and the exit code."""
+    """Modules imported by ``python -S -v <args>``, and the exit code."""
     proc = subprocess.run(
-        [sys.executable, "-v", *args],
+        [sys.executable, "-S", "-v", *args],
         input=stdin,
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},

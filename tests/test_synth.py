@@ -105,6 +105,16 @@ class TestGenerateCandidates:
         assert any(a == b for a, b in zip(tokens, tokens[1:]))
         assert len(tokens) > len(reference)
 
+    def test_every_token_deleted_leaves_one_vocabulary_token(self):
+        config = NoiseConfig(deletion_rate=1.0, insertion_rate=0.0, duplication_rate=0.0)
+        vocab = Vocabulary(("x", "y", "z"))
+        cset = generate_candidates(tuple(f"t{i}" for i in range(20)), 8, config, vocab)
+        for cand in cset.candidates:
+            (token,) = cand.tokens
+            (score,) = cand.scores
+            assert token in vocab.tokens
+            assert -30.0 <= score <= 0.0
+
     def test_scores_respect_floor(self):
         config = NoiseConfig(error_score_mean=-29.0, error_score_std=10.0,
                              substitution_rate=1.0)
