@@ -119,10 +119,10 @@ def partition(cset: CandidateSet) -> AlignedPartition:
 
     The tokens are partition's only input, so the last set's token
     sequences and partition are kept in one slot: a set whose sequences
-    equal them (compared, not hashed) gets the same partition back.  Within
-    one record that is the repeat work: ``compare --sweep-k`` fuses the full
-    set again for every k past its size, and ``fuse --oracle-check``
-    partitions each set once for fusion and once in ``build_lattice``.
+    equal them (compared, not hashed) gets the same partition back.  Though
+    a record is rescored once, ``compare --sweep-k`` fuses it again for
+    every k at or past its size, and ``fuse --oracle-check`` (like a library
+    caller that fuses a set, then builds its lattice) partitions it twice.
     Distinct records rarely share their tokens, so one slot catches these
     repeats, and a miss costs one tuple comparison.  The slot is one
     ``(tokens, partition)`` tuple, replaced whole, so a concurrent caller

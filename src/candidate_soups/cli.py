@@ -42,7 +42,6 @@ from .candidates import (
     ScoredCandidate,
     _decimal,
     _tokens_valid,
-    remove_adjacent_duplicates,
     validate,
 )
 from .errors import CdsError, EmptyInput
@@ -53,6 +52,7 @@ from .scoring import (
     Scorer,
     SelfScorer,
     load_ngram,
+    npd_index,
     npd_select,
     rescore_set,
     save_ngram,
@@ -60,6 +60,8 @@ from .scoring import (
 )
 
 IO = io.TextIOBase  # the text stream the annotations name; typing.IO would load typing
+
+_PREPARED = SelfScorer()  # reads the scores of a set that rescore_set has prepared
 
 # Only ``fuse --oracle-check`` calls these two, so no other command loads
 # ``lattice_oracle``.  ``cmd_fuse`` calls them through the module globals,
@@ -302,14 +304,16 @@ def cmd_fuse(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int
     scorer = _make_scorer(args.scorer)
 
     def output(cset: CandidateSet) -> dict:
-        result = candidate_soups(cset, scorer)
-        if args.oracle_check:
-            best = oracle_best(build_lattice(rescore_set(cset, scorer)))
-            if best != result.tokens:
-                raise CdsError(
-                    f"oracle mismatch: fusion {' '.join(result.tokens)!r} "
-                    f"vs best path {' '.join(best)!r}"
-                )
+        if not args.oracle_check:
+            return fusion_record(cset.id, candidate_soups(cset, scorer), args.trace)
+        prepared = rescore_set(cset, scorer)  # fusion and the lattice read one rescored set
+        result = candidate_soups(prepared, _PREPARED)
+        best = oracle_best(build_lattice(prepared))
+        if best != result.tokens:
+            raise CdsError(
+                f"oracle mismatch: set {cset.id!r}: fusion {' '.join(result.tokens)!r} "
+                f"vs best path {' '.join(best)!r}"
+            )
         return fusion_record(cset.id, result, args.trace)
 
     return _stream(args, stdin, stdout, stderr, output)
@@ -414,7 +418,11 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int
 
 
 def _truncated(cset: CandidateSet, k: int) -> CandidateSet:
-    """``cset`` cut to its first ``k`` candidates, for one ``--sweep-k`` row."""
+    """``cset`` cut to its first ``k`` candidates, for one ``--sweep-k`` row.
+
+    Dedup and rescoring act on each candidate alone, so a cut of a rescored
+    set is the rescored cut.
+    """
     if len(cset.candidates) <= k:
         return cset
     return CandidateSet(cset.id, cset.candidates[:k], cset.source)
@@ -455,19 +463,20 @@ def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> 
             reference = Reference(ref_tokens)
             sentences += 1
 
-            single = remove_adjacent_duplicates(cset.candidates[0])
-            accumulators["single"].add(single.tokens, reference)
-            _, npd_winner = npd_select(cset, scorer)
-            accumulators["npd"].add(npd_winner.tokens, reference)
-            started = time.perf_counter()
-            fused = candidate_soups(cset, scorer)
+            started = time.perf_counter()  # the fusion time covers the scoring
+            prepared = rescore_set(cset, scorer)  # every method and sweep step reads this set
+            fused = candidate_soups(prepared, _PREPARED)
             fusion_seconds += time.perf_counter() - started
+            accumulators["single"].add(prepared.candidates[0].tokens, reference)
+            accumulators["npd"].add(prepared.candidates[npd_index(prepared)].tokens, reference)
             accumulators["cds"].add(fused.tokens, reference)
 
-            for k, accs in sweep_acc.items():
-                subset = _truncated(cset, k)
-                accs["cds"].add(candidate_soups(subset, scorer).tokens, reference)
-                accs["npd"].add(npd_select(subset, scorer)[1].tokens, reference)
+            # largest k first: the rows at or past the set's size then reuse the
+            # partition of the full fusion above (alignment.partition's memo)
+            for k, accs in reversed(sweep_acc.items()):
+                subset = _truncated(prepared, k)
+                accs["cds"].add(candidate_soups(subset, _PREPARED).tokens, reference)
+                accs["npd"].add(npd_select(subset, _PREPARED)[1].tokens, reference)
         if next(ref_lines, None) is not None:
             raise _Stop(0, "more references than records")
 

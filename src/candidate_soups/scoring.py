@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from itertools import repeat
 
 from .candidates import (
@@ -34,12 +33,6 @@ from .errors import EmptyInput, ScorerFailure
 # are treated as boundaries; callers control tokenization.
 START_SYMBOL = "<s>"
 END_SYMBOL = "</s>"
-
-# Token sequences an NGramScorer remembers.  Enough for a whole k-sweep over a
-# record with at most this many distinct candidates; far fewer than the
-# distinct sequences a stream scores between two visits to the same record, so
-# timings of fresh input never measure memo hits.
-NGRAM_MEMO_SIZE = 64
 
 # The highest n-gram order a model, ``ngram-train --order`` or ``bleu --max-n``
 # takes.  Scoring builds order - 1 shifted slices per candidate and BLEU one
@@ -205,14 +198,9 @@ def ngram_score(
 class NGramScorer(Scorer):
     """Scorer backed by a trained ``NGramModel``; target-side only.
 
-    Memoizes the scores of its last ``NGRAM_MEMO_SIZE`` token sequences,
-    keyed on the tokens alone (the source plays no part), and returns them as
-    shared immutable tuples.  So a record's distinct candidates are scored
-    once each only up to that bound: past it, each pass over the record
-    evicts what the next pass needs (one record with 100 distinct candidates
-    under ``compare --sweep-k 1..100`` makes 6,140 ``ngram_score`` calls).
+    Keeps nothing between calls, since ``cds`` rescores a record's set once.
     The model and floor are fixed after construction, so it stays
-    deterministic, and ``lru_cache`` keeps it safe for concurrent use.
+    deterministic and safe for concurrent use.
     """
 
     def __init__(self, model: NGramModel, score_floor: float = DEFAULT_SCORE_FLOOR):
@@ -220,16 +208,12 @@ class NGramScorer(Scorer):
             raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
         self.model = model
         self.score_floor = score_floor
-        # closes over the model and floor, not self: no reference cycle
-        self._memo = lru_cache(maxsize=NGRAM_MEMO_SIZE)(
-            lambda tokens: tuple(ngram_score(model, tokens, score_floor))
-        )
 
     def rescore(
         self, source: Sequence[str] | None, candidate: ScoredCandidate
     ) -> tuple[float, ...]:
         """Scores of ``candidate.tokens``; its stored scores play no part."""
-        return self._memo(tuple(candidate.tokens))
+        return tuple(ngram_score(self.model, candidate.tokens, self.score_floor))
 
 
 def save_ngram(model: NGramModel, path: str) -> None:
@@ -316,6 +300,17 @@ def rescore_set(cset: CandidateSet, scorer: Scorer) -> CandidateSet:
     return _new(CandidateSet, (cset.id, tuple(out), source))
 
 
+def npd_index(prepared: CandidateSet) -> int:
+    """The index of a rescored set's highest-mean candidate; ties go to the lowest index."""
+    best_idx = 0
+    best_mean = -math.inf
+    for idx, cand in enumerate(prepared.candidates):
+        mean = cand.mean_score()
+        if mean > best_mean:
+            best_idx, best_mean = idx, mean
+    return best_idx
+
+
 def npd_select(
     cset: CandidateSet,
     scorer: Scorer | None = None,
@@ -324,16 +319,10 @@ def npd_select(
 
     ``cset`` must have passed ``validate``, as ``cds npd`` gives it; unlike
     ``candidate_soups``, this does not validate.  Candidates are deduped
-    before scoring (as fusion does, so the two are comparable).  Ties go to
-    the lowest index.  Returns the winning index and the deduped candidate
+    before scoring (as fusion does, so the two are comparable) and ranked
+    by ``npd_index``.  Returns the winning index and the deduped candidate
     with its stored scores; the scorer influences selection only.
     """
     scorer = scorer if scorer is not None else SelfScorer()
-    prepared = rescore_set(cset, scorer)
-    best_idx = 0
-    best_mean = -math.inf
-    for idx, cand in enumerate(prepared.candidates):
-        mean = cand.mean_score()
-        if mean > best_mean:
-            best_idx, best_mean = idx, mean
+    best_idx = npd_index(rescore_set(cset, scorer))
     return best_idx, remove_adjacent_duplicates(cset.candidates[best_idx])

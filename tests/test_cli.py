@@ -13,12 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidate_soups import NGramScorer, Scorer, alignment, bleu, cli, fusion, lattice_oracle
-from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
+from candidate_soups import (
+    Scorer,
+    alignment,
+    bleu,
+    candidate_soups,
+    cli,
+    corpus_bleu,
+    fusion,
+    lattice_oracle,
+    npd_select,
+)
+from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
 from candidate_soups.errors import ScorerFailure
 from candidate_soups.fusion import RegionChoice
-from candidate_soups.scoring import MAX_ORDER
+from candidate_soups.scoring import MAX_ORDER, SelfScorer, rescore_set
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
@@ -170,7 +180,7 @@ class TestFuse:
         assert code == 1
         (diagnostic,) = [json.loads(line) for line in err.splitlines()]
         assert diagnostic["line"] == 2
-        assert diagnostic["error"].startswith("oracle mismatch: ")
+        assert diagnostic["error"].startswith("oracle mismatch: set 'threeway': fusion ")
         first, _, last = fused.splitlines()
         assert out.splitlines() == [first, last]
 
@@ -194,7 +204,11 @@ class TestFuse:
         assert code == 1 and out == "" and len(lattices) == 3
         diagnostics = [json.loads(line) for line in err.splitlines()]
         assert [d["line"] for d in diagnostics] == [1, 2, 3]
-        assert all(d["error"].startswith("oracle mismatch: ") for d in diagnostics)
+        fused = " ".join(CROSS_ERROR_FUSED)
+        assert [d["error"] for d in diagnostics] == [
+            f"oracle mismatch: set 'id-{i}': fusion {fused!r} vs best path 'wrong'"
+            for i in range(3)
+        ]
 
     def test_output_order_matches_input_order(self):
         lines = "\n".join(cross_error_line(f"id-{i}") for i in range(10))
@@ -568,8 +582,9 @@ class TestCompare:
 
 
 class TestCompareScoresEachCandidateOnce:
-    """``compare --sweep-k`` rescores the same deduped candidates for every
-    method and every k; the n-gram scorer's memo scores each one once."""
+    """``compare`` and ``fuse --oracle-check`` rescore each record once, and
+    every method and sweep step reads that set, so the n-gram scorer scores
+    each candidate once per record, however many candidates it has."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -586,38 +601,82 @@ class TestCompareScoresEachCandidateOnce:
                 "--scorer", f"ngram:{model}"]
         return argv, records
 
-    def test_each_distinct_deduped_candidate_scored_once(self, corpus, ngram_score_calls):
+    @staticmethod
+    def deduped_candidates(records):
+        return [
+            remove_adjacent_duplicates(c).tokens
+            for line in records.splitlines()
+            for c in parse_candidate_record(json.loads(line)).candidates
+        ]
+
+    def test_each_candidate_scored_once_per_record(self, corpus, ngram_score_calls):
         argv, records = corpus
         code, _, err = run(argv, records)
         assert code == 0, err
-        distinct = [
-            {remove_adjacent_duplicates(c).tokens
-             for c in parse_candidate_record(json.loads(line)).candidates}
-            for line in records.splitlines()
-        ]
-        assert len(ngram_score_calls) == len(set(ngram_score_calls))
-        assert set(ngram_score_calls) == set().union(*distinct)
-        assert len(ngram_score_calls) <= 5 * len(distinct)
+        assert ngram_score_calls == self.deduped_candidates(records)
 
-    def test_summary_equals_unmemoized_scoring(self, corpus, monkeypatch):
+    def test_oracle_check_scores_each_candidate_once(self, corpus, ngram_score_calls):
         argv, records = corpus
-        code, memoized, _ = run(argv, records)
-        assert code == 0
+        code, out, err = run(["fuse", "--oracle-check", *argv[-2:]], records)
+        assert code == 0, err
+        assert len(out.splitlines()) == 25
+        assert ngram_score_calls == self.deduped_candidates(records)
 
-        class FreshScorer(Scorer):
-            def __init__(self, model, score_floor=DEFAULT_SCORE_FLOOR):
-                self.model, self.score_floor = model, score_floor
+    def test_a_100_candidate_record_is_scored_100_times(self, tmp_path, ngram_score_calls):
+        # past the 64 token sequences the n-gram scorer once memoized, each
+        # pass over such a record evicted what the next needed: 6,140 calls
+        refs = tmp_path / "refs.txt"
+        refs.write_text("w0 w1 w2\n")
+        model = tmp_path / "lm.ngram"
+        assert run(["ngram-train", str(refs), "-o", str(model), "--order", "2"])[0] == 0
+        candidates = [{"tokens": ["w0", f"x{i}", "w2"], "scores": [-0.5] * 3} for i in range(100)]
+        record = json.dumps({"id": "wide", "candidates": candidates})
+        argv = ["compare", "--refs", str(refs), "--sweep-k", "1..100", "--json",
+                "--scorer", f"ngram:{model}"]
+        code, out, err = run(argv, record + "\n")
+        assert code == 0, err
+        assert len(json.loads(out)["sweep"]) == 100
+        assert ngram_score_calls == [("w0", f"x{i}", "w2") for i in range(100)]
 
-            def rescore(self, source, candidate):
-                return NGramScorer(self.model, self.score_floor).rescore(source, candidate)
+    @pytest.mark.parametrize("scorer", ["self", "ngram"])
+    def test_summary_equals_library_run_on_raw_sets(self, corpus, scorer):
+        # the library rescores every raw set, and every cut of it, on its own
+        argv, records = corpus
+        selector = argv[-1] if scorer == "ngram" else "self"
+        code, out, err = run([*argv[:-1], selector], records)
+        assert code == 0, err
+        got = json.loads(out)
+        got.pop("mean_fusion_ms")
 
-        monkeypatch.setattr(cli, "NGramScorer", FreshScorer)
-        code, fresh, _ = run(argv, records)
-        assert code == 0
-        got, want = json.loads(memoized), json.loads(fresh)
-        got.pop("mean_fusion_ms"), want.pop("mean_fusion_ms")
+        library = cli._make_scorer(selector)
+        refs = Path(argv[2]).read_text().splitlines()
+        csets = [parse_candidate_record(json.loads(line)) for line in records.splitlines()]
+
+        def bleu_of(outputs):
+            return corpus_bleu(outputs, [ref.split() for ref in refs]).bleu
+
+        def npd(cset):
+            return npd_select(cset, library)[1].tokens
+
+        def cds(cset):
+            return candidate_soups(cset, library).tokens
+
+        want = {
+            "sentences": len(csets),
+            "methods": {
+                "single": bleu_of([remove_adjacent_duplicates(c.candidates[0]).tokens
+                                   for c in csets]),
+                "npd": bleu_of([npd(c) for c in csets]),
+                "cds": bleu_of([cds(c) for c in csets]),
+            },
+            "sweep": [
+                {"k": k,
+                 "cds": bleu_of([cds(cli._truncated(c, k)) for c in csets]),
+                 "npd": bleu_of([npd(cli._truncated(c, k)) for c in csets])}
+                for k in range(1, 8)
+            ],
+        }
         assert got == want
-        assert len(got["sweep"]) == 7
 
 
 class TestEachInputAlignedAndScoredOnce:
@@ -653,6 +712,32 @@ class TestEachInputAlignedAndScoredOnce:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[1] == counts[0]
+
+    def test_sweep_aligns_each_distinct_cut_once(self, records, monkeypatch):
+        # the sweep runs from the largest k down, so the rows at or past a
+        # set's size reuse the partition of the full fusion
+        refs, lines = records
+        calls = []
+        original = alignment.find_next_anchor
+
+        def counting(cset, start):
+            calls.append(len(cset.candidates))
+            return original(cset, start)
+
+        monkeypatch.setattr(alignment, "find_next_anchor", counting)
+        monkeypatch.setattr(alignment, "_last_partition", None)
+        code, _, err = run(["compare", "--refs", str(refs), "--sweep-k", "1..7", "--json"], lines)
+        assert code == 0, err
+        swept = calls[:]
+        calls.clear()
+        for line in lines.splitlines():
+            prepared = rescore_set(parse_candidate_record(json.loads(line)), SelfScorer())
+            assert len(prepared.candidates) == 5
+            for k in range(5, 0, -1):
+                monkeypatch.setattr(alignment, "_last_partition", None)
+                alignment.partition(cli._truncated(prepared, k))
+        assert swept == calls
+        assert 5 in swept
 
     def test_sweep_computes_clipped_matches_once_per_distinct_triple(self, records, monkeypatch):
         refs, lines = records

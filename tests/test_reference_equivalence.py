@@ -60,6 +60,7 @@ from candidate_soups import (
 from candidate_soups.alignment import find_next_anchor, partition
 from candidate_soups.bleu import Reference
 from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_duplicates
+from candidate_soups.cli import _truncated
 from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 from candidate_soups.fusion import select_segment
 from candidate_soups.scoring import (
@@ -394,6 +395,16 @@ SCORERS = [SelfScorer(), ListScorer(), IntScorer(), IntTupleScorer(), ShortScore
 @given(candidate_sets(sources=True), st.sampled_from(SCORERS))
 def test_rescore_set_matches_reference(cset, scorer):
     assert outcome(rescore_set, cset, scorer) == outcome(reference_rescore_set, cset, scorer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets(sources=True), st.sampled_from([SelfScorer(), NGRAM]), st.integers(1, 9))
+def test_rescoring_a_prefix_gives_the_prefix_of_the_rescored_set(cset, scorer, k):
+    # dedup and rescoring act on each candidate alone, so cds compare rescores
+    # a record once and cuts that set for every --sweep-k row
+    cset = validate(cset, FLOOR, lambda message: None)
+    got = rescore_set(_truncated(cset, k), scorer)
+    assert ident(got) == ident(_truncated(rescore_set(cset, scorer), k))
 
 
 # --- region selection and the whole pipeline ---------------------------------------

@@ -22,7 +22,6 @@ from candidate_soups.fusion import candidate_soups
 from candidate_soups.scoring import (
     END_SYMBOL,
     MAX_ORDER,
-    NGRAM_MEMO_SIZE,
     START_SYMBOL,
     ngram_score,
     rescore_set,
@@ -391,14 +390,7 @@ def test_ngram_score_takes_a_floor_of_minus_infinity_and_of_zero():
     assert ngram_score(model, ["a", "q"], 0.0) == [0.0, 0.0]
 
 
-class TestNGramScorerMemo:
-    def test_repeat_is_scored_once_whatever_the_source(self, ngram_score_calls):
-        scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
-        first = rescore_tokens(scorer, None, ["a", "b"])
-        assert rescore_tokens(scorer, ("src", "tokens"), ("a", "b")) is first
-        assert ngram_score_calls == [("a", "b")]
-        assert list(first) == ngram_score(scorer.model, ["a", "b"])
-
+class TestNGramScorerScores:
     def test_returned_scores_are_immutable(self):
         scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
         scores = rescore_tokens(scorer, None, ["a", "c"])
@@ -408,20 +400,7 @@ class TestNGramScorerMemo:
         want = tuple(ngram_score(scorer.model, ["a", "c"]))
         assert rescore_tokens(scorer, None, ["a", "c"]) == want
 
-    def test_memo_stays_at_its_bound(self, ngram_score_calls):
-        scorer = NGramScorer(train_ngram([["a", "b", "c"]], n=2))
-        sequences = [("a",) * (i + 1) for i in range(3 * NGRAM_MEMO_SIZE)]
-        for tokens in sequences:
-            rescore_tokens(scorer, None, tokens)
-        assert scorer._memo.cache_info().currsize == NGRAM_MEMO_SIZE
-        assert len(ngram_score_calls) == len(sequences)
-        rescore_tokens(scorer, None, sequences[-1])  # still held
-        assert len(ngram_score_calls) == len(sequences)
-        rescore_tokens(scorer, None, sequences[0])  # evicted long ago
-        assert len(ngram_score_calls) == len(sequences) + 1
-        assert scorer._memo.cache_info().currsize == NGRAM_MEMO_SIZE
-
-    def test_scorers_do_not_share_a_memo(self):
+    def test_scorers_keep_their_own_model(self):
         one = NGramScorer(train_ngram([["a", "b"]], n=2))
         other = NGramScorer(train_ngram([["b", "a"]], n=2))
         assert rescore_tokens(one, None, ["a", "b"]) != rescore_tokens(other, None, ["a", "b"])
