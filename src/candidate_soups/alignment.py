@@ -113,9 +113,10 @@ def partition(cset: CandidateSet) -> AlignedPartition:
 
     While all pointers sit on the same token, anchors are emitted and every
     pointer advances by one.  Otherwise the region up to the next common
-    token (or to the candidate ends when none exists) is emitted and the
-    pointers jump there.  Terminates after at most the total token count of
-    all candidates.
+    token (or to the candidate ends when none exists) is emitted, then the
+    anchor that ends it, and the pointers step past that anchor: the anchor
+    search runs once per region.  Terminates after at most the total token
+    count of all candidates.
 
     The tokens are partition's only input, so the last set's token
     sequences and partition are kept in one slot: a set whose sequences
@@ -138,6 +139,7 @@ def partition(cset: CandidateSet) -> AlignedPartition:
     # a sentinel past each end is the head of an exhausted candidate
     padded = [s + (_END,) for s in seqs]
     pointers = (0,) * k
+    ones = (1,) * k
     elements: list[PartitionElement] = []
     append = elements.append
 
@@ -148,13 +150,16 @@ def partition(cset: CandidateSet) -> AlignedPartition:
             if head is _END:  # every pointer is at its candidate's end
                 break
             append(_new(Anchor, (head, pointers)))
-            pointers = tuple([p + 1 for p in pointers])
+            pointers = tuple(map(add, pointers, ones))
             continue
         nxt = find_next_anchor(cset, pointers)
         end = nxt.positions if nxt is not None else lens
         segments = tuple([s[a:b] for s, a, b in zip(seqs, pointers, end)])
         append(_new(DivergenceRegion, (pointers, end, segments)))
-        pointers = end
+        if nxt is None:  # the region runs to every candidate's end
+            break
+        append(nxt)  # every head is its token: the round that follows would emit it
+        pointers = tuple(map(add, end, ones))
 
     part = _new(AlignedPartition, (tuple(elements),))
     _last_partition = (seqs, part)

@@ -293,7 +293,11 @@ def _stream(
                 failed = True
                 continue
             try:
-                _dump(output(cset), stdout)
+                record = output(cset)
+                try:
+                    _dump(record, stdout)
+                except CdsError as exc:  # _dump knows no record; !r escapes a surrogate in the id
+                    raise CdsError(f"set {cset.id!r}: {exc}") from None
             except CdsError as exc:
                 _diagnostic(stderr, line_no, str(exc))
                 failed = True

@@ -68,16 +68,18 @@ class SelfScorer(Scorer):
         return candidate.scores
 
 
-class NGramModel(record("NGramModel", "order alpha counts log_probs vocabulary")):
+class NGramModel(record("NGramModel", "order alpha counts log_probs vocabulary unseen")):
     """Add-alpha-smoothed n-gram counts; immutable once trained.
 
     ``counts`` maps a context tuple to its continuations' counts and
     ``vocabulary`` (a frozenset) holds every observed target, including the
     end symbol.  ``log_probs`` maps each trained context to a pair: a dict
     from each of its continuations to log p(token | context), and the log
-    probability of any other token after it.  Probabilities normalize over
-    the vocabulary plus one unknown class, so for every context the
-    probabilities of all events sum to one.
+    probability of any other token after it.  ``unseen`` is that pair for
+    every context the model never saw: an empty dict and log(alpha /
+    smoothing), where the smoothing is alpha times the event count.
+    Probabilities normalize over the vocabulary plus one unknown class, so
+    for every context the probabilities of all events sum to one.
     """
 
     __slots__ = ()
@@ -109,10 +111,11 @@ def _check_settings(order: int, alpha: float) -> None:
 def _model(order: int, alpha: float, counts: dict[tuple[str, ...], dict[str, int]]) -> NGramModel:
     """The model of these counts; ValueError if some probability is 0, which has no log.
 
-    The vocabulary and the log-probability table are derived from the
-    counts: every context occurrence has exactly one continuation, so a
-    context's total is the sum of its counts, and every trained token (the
-    end symbol too) occurs as some n-gram's target.  Each table entry is the
+    The vocabulary, the log-probability table and the unseen-context pair
+    are derived from the counts, once per model: every context occurrence
+    has exactly one continuation, so a context's total is the sum of its
+    counts, and every trained token (the end symbol too) occurs as some
+    n-gram's target.  Each table entry, and the unseen pair's log, is the
     log of ``NGramModel.probability``'s arithmetic, in the same order.
     """
     totals = {context: sum(by_token.values()) for context, by_token in counts.items()}
@@ -134,7 +137,7 @@ def _model(order: int, alpha: float, counts: dict[tuple[str, ...], dict[str, int
         for token, count in by_token.items():
             table[token] = log((count + alpha) / denominator)
         log_probs[context] = (table, log(alpha / denominator))
-    return NGramModel(order, alpha, counts, log_probs, vocab)
+    return NGramModel(order, alpha, counts, log_probs, vocab, ({}, log(alpha / smoothing)))
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], n: int = 3, alpha: float = 0.1) -> NGramModel:
@@ -172,20 +175,19 @@ def ngram_score(
     """Per-token log p(token | previous n-1 tokens), clamped to the floor.
 
     Reads each token's log-probability from ``model.log_probs``; a context
-    the model never saw gives every token log(alpha / smoothing).  These are
-    the logs of ``NGramModel.probability``'s arithmetic, in the same order,
-    so the scores are bit-identical to taking the log of it token by token.
+    the model never saw reads ``model.unseen``, which gives every token
+    log(alpha / smoothing).  These are the logs of
+    ``NGramModel.probability``'s arithmetic, in the same order, so the
+    scores are bit-identical to taking the log of it token by token.
     Raises ValueError when ``score_floor`` is above zero or NaN.
     """
     if not score_floor <= 0:
         raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
-    n, alpha = model.order, model.alpha
+    n = model.order
     padded = (START_SYMBOL,) * (n - 1) + tuple(tokens)
     # contexts[i] is padded[i : i + n - 1]; an order-1 model has empty contexts
     contexts = zip(*[padded[i:] for i in range(n - 1)]) if n > 1 else repeat(())
-    table = model.log_probs
-    smoothing = alpha * (len(model.vocabulary) + 1)  # one extra unknown class
-    unseen = ({}, math.log(alpha / smoothing))
+    table, unseen = model.log_probs, model.unseen
     # max(score_floor, score) without the call: the floor unless score is above it
     return [
         score if score > score_floor else score_floor

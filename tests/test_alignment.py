@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from candidate_soups import CandidateSet, ScoredCandidate
+from candidate_soups import CandidateSet, ScoredCandidate, alignment
 from candidate_soups.alignment import Anchor, DivergenceRegion, find_next_anchor, partition
 from candidate_soups.candidates import remove_adjacent_duplicates
 from helpers import (
@@ -151,11 +152,38 @@ def check_partition_invariants(cset):
     deduped = CandidateSet(
         cset.id, tuple(remove_adjacent_duplicates(c) for c in cset.candidates)
     )
-    part = partition(deduped)
-    k = len(deduped.candidates)
-    total_len = sum(len(c) for c in deduped.candidates)
+    searches = []
 
-    assert len(part.elements) <= total_len
+    def counting(cset, start):
+        searches.append(start)
+        return find_next_anchor(cset, start)
+
+    # a cleared memo slot, so that this call aligns the set and searches for its anchors
+    with mock.patch.object(alignment, "find_next_anchor", counting), \
+            mock.patch.object(alignment, "_last_partition", None):
+        part = partition(deduped)
+    k = len(deduped.candidates)
+    lens = tuple(len(c) for c in deduped.candidates)
+
+    assert len(part.elements) <= sum(lens)
+
+    # the pointers are contiguous: each anchor sits at them, each region
+    # starts at them, and the walk ends at the candidate lengths
+    pointers = (0,) * k
+    for el in part.elements:
+        if isinstance(el, Anchor):
+            assert el.positions == pointers
+            pointers = tuple(p + 1 for p in pointers)
+        else:
+            assert el.start == pointers
+            assert tuple(map(len, el.segments)) == tuple(
+                e - s for s, e in zip(el.start, el.end)
+            )
+            pointers = el.end
+    assert pointers == lens
+
+    # the anchor search runs once per region, from where the region starts
+    assert searches == [region.start for region in part.regions()]
 
     # reconstruction: anchors plus per-candidate segments reproduce each candidate
     for j in range(k):

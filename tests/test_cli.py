@@ -1236,7 +1236,17 @@ class TestBadLineNeverStopsStream:
         line = record_line(["\ud800"], [-0.1])
         assert "\\ud800" in line
         message = assert_bad_first_line(*run(["fuse"], line + "\n" + cross_error_line()))
-        assert "lone surrogate" in message
+        assert message == "set 't': output would hold a lone surrogate, which is not valid UTF-8"
+
+    def test_lone_surrogate_in_the_id_is_escaped_in_its_diagnostic(self):
+        # the diagnostic names the record, so it must not hold the surrogate itself
+        line = record_line(["a"], [-0.1], id="\ud800")
+        code, out, err = run(["fuse"], line + "\n" + cross_error_line())
+        message = assert_bad_first_line(code, out, err)
+        assert message == (
+            "set '\\ud800': output would hold a lone surrogate, which is not valid UTF-8"
+        )
+        err.encode("utf-8")  # the diagnostic itself holds no lone surrogate
 
     def test_integer_score_too_large_for_a_float(self):
         # used to raise an uncaught OverflowError

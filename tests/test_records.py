@@ -41,10 +41,11 @@ CASES = [
     case(6, RegionChoice, (1, (-0.5, -0.25), ("b",)),
          "RegionChoice(chosen=1, segment_scores=(-0.5, -0.25), chosen_tokens=('b',))"),
     case(7, FusionResult, (("a", "b"), ()), "FusionResult(tokens=('a', 'b'), trace=())"),
-    # the log-probability table _model derives for these counts: total 1, smoothing 0.1 * 2
+    # the log-probability table and unseen-context pair _model derives for
+    # these counts: total 1, smoothing 0.1 * 2
     case(8, NGramModel,
          (2, 0.1, {(): {"a": 1}}, {(): ({"a": math.log(1.1 / 1.2)}, math.log(0.1 / 1.2))},
-          frozenset({"a"})),
+          frozenset({"a"}), ({}, math.log(0.1 / 0.2))),
          "NGramModel(order=2, alpha=0.1)"),
     case(9, BleuReport, (50.0, (1.0, 0.5), 1.0, 3, 4),
          "BleuReport(bleu=50.0, ngram_precisions=(1.0, 0.5), brevity_penalty=1.0, "

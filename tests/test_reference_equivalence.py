@@ -475,6 +475,7 @@ def test_ngram_log_table_matches_probability(corpus, order, alpha):
         assert unknown == math.log(model.probability(context, "<unk>"))
     if order >= 2:
         never = ("never",) * (order - 1)
+        assert model.unseen == ({}, math.log(model.probability(never, "<unk>")))
         for token in ["a", "e", START_SYMBOL, END_SYMBOL]:
             *_, score = ngram_score(model, [*never, token], score_floor=-math.inf)
             assert score == math.log(model.probability(never, token))
