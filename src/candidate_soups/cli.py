@@ -10,11 +10,12 @@ that need a whole input (compare, bleu, ngram-train) stop at the first bad
 line with one such diagnostic (``_Stop``).  The process exits 0 on success,
 1 when any line failed, 2 on usage errors.  A usage error is reported as one
 line-0 diagnostic before any input is read: an argument that argparse or its
-type (``_int_in``, ``_positive_float``, ``_k_range``) rejects, a ``synth``
-noise flag that ``NoiseConfig`` rejects, or a ``--scorer`` that is unknown
-or names a model that ``load_ngram`` rejects.  A count, order or bound is
-ASCII decimal digits alone (``candidates._decimal``); ``--seed`` and the
-float flags take what ``int()`` and ``float()`` take.
+type (``_int_in``, ``_positive_float``, ``_k_range``) rejects, or a
+``--scorer`` that is unknown or names a model that ``load_ngram`` rejects.
+A count, order or bound is ASCII decimal digits alone
+(``candidates._decimal``); ``--seed`` and ``--alpha`` take what ``int()``
+and ``float()`` take.  ``synth`` draws with ``NoiseConfig``'s default rates
+and ``bleu`` scores plain 4-gram BLEU; the library reaches the rest.
 
 Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
@@ -336,11 +337,7 @@ def cmd_npd(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
 def cmd_synth(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     from .synth import NoiseConfig, Vocabulary, generate_candidates
 
-    flags = {name: getattr(args, name) for name in NoiseConfig._fields}
-    try:
-        config = NoiseConfig(**{name: value for name, value in flags.items() if value is not None})
-    except ValueError as exc:
-        raise UsageError(f"synth: {exc}") from None
+    config = NoiseConfig(rng_seed=args.rng_seed)
 
     # read once (the file may be a pipe): the corruption vocabulary needs
     # every line before the first record is generated
@@ -417,7 +414,7 @@ def cmd_bleu(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int
         for line_no, ref in enumerate(refs, start=1):
             if not ref:
                 raise _Stop(line_no, f"{args.ref}: reference sentence is empty")
-    _dump(corpus_bleu(hyps, refs, max_n=args.max_n, epsilon=args.smooth).to_json(), stdout)
+    _dump(corpus_bleu(hyps, refs).to_json(), stdout)
     return 0
 
 
@@ -481,8 +478,10 @@ def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> 
                 subset = _truncated(prepared, k)
                 accs["cds"].add(candidate_soups(subset, _PREPARED).tokens, reference)
                 accs["npd"].add(npd_select(subset, _PREPARED)[1].tokens, reference)
-        if next(ref_lines, None) is not None:
-            raise _Stop(0, "more references than records")
+        unread = next(ref_lines, None)
+        if unread is not None:
+            ref_no, _ = unread
+            raise _Stop(0, f"more references than records: reference line {ref_no} has no record")
 
     if sentences == 0:
         raise _Stop(0, "no records to compare")
@@ -552,10 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate candidate records from reference sentences")
     synth.add_argument("refs", help="one whitespace-tokenized sentence per line")
     synth.add_argument("--k", type=_int_in(1), default=5, help="candidates per sentence")
-    synth.add_argument("--seed", dest="rng_seed", type=int, default=None)
-    for noise in ("substitution-rate", "insertion-rate", "deletion-rate", "duplication-rate",
-                  "correct-score-mean", "correct-score-std", "error-score-mean", "error-score-std"):
-        synth.add_argument(f"--{noise}", type=float, default=None)  # checked by NoiseConfig
+    synth.add_argument("--seed", dest="rng_seed", type=int, default=0)
     synth.set_defaults(handler=cmd_synth)
 
     bleu = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against references")
@@ -566,8 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read hypotheses from fusion records' 'output' fields",
     )
-    bleu.add_argument("--smooth", type=_positive_float, default=None, metavar="EPS")
-    bleu.add_argument("--max-n", type=_int_in(1, MAX_ORDER), default=4)
     bleu.set_defaults(handler=cmd_bleu)
 
     compare = sub.add_parser(

@@ -34,9 +34,9 @@ from .errors import EmptyInput, ScorerFailure
 START_SYMBOL = "<s>"
 END_SYMBOL = "</s>"
 
-# The highest n-gram order a model, ``ngram-train --order`` or ``bleu --max-n``
-# takes.  Scoring builds order - 1 shifted slices per candidate and BLEU one
-# count per order, so the cost of an order grows with its square.
+# The highest n-gram order a model or ``ngram-train --order`` takes.  Scoring
+# builds order - 1 shifted slices per candidate, so the cost of an order grows
+# with its square.
 MAX_ORDER = 32
 
 

@@ -25,6 +25,12 @@ from candidate_soups.errors import (
 from candidate_soups.fusion import RegionChoice, select_segment
 from candidate_soups.lattice_oracle import SimplifiedLattice, path_count
 from candidate_soups.scoring import START_SYMBOL, NGramModel
+from candidate_soups.synth import NoiseConfig
+
+# the channel with every rate at 0: each candidate is its reference, scores aside
+QUIET = NoiseConfig(
+    substitution_rate=0.0, insertion_rate=0.0, deletion_rate=0.0, duplication_rate=0.0
+)
 
 # --- two candidates whose errors sit in opposite halves -------------------
 # Candidate 0 garbles "required"; candidate 1 garbles "costs".  Error tokens

@@ -34,6 +34,7 @@ from helpers import (
     CROSS_ERROR_FUSED,
     CROSS_ERROR_SCORES,
     CROSS_ERROR_TOKENS,
+    QUIET,
     THREE_WAY_FUSED,
     random_references,
     three_way_set,
@@ -236,31 +237,29 @@ class TestNpd:
 
 
 class TestSynth:
-    def test_zero_noise_candidates_equal_reference(self, tmp_path):
-        refs = tmp_path / "refs.txt"
-        refs.write_text("the cat sat\non a mat\n")
-        code, out, _ = run(
-            [
-                "synth",
-                str(refs),
-                "--k",
-                "3",
-                "--substitution-rate",
-                "0",
-                "--insertion-rate",
-                "0",
-                "--deletion-rate",
-                "0",
-                "--duplication-rate",
-                "0",
-            ]
-        )
+    def test_zero_noise_candidates_equal_reference(self):
+        # cds synth draws at NoiseConfig's default rates; the library sets the rest
+        references = ["the cat sat".split(), "on a mat".split()]
+        out = corpus_lines(generate_corpus(references, 3, QUIET))
+        code, fused, _ = run(["fuse"], out)
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["id"] for r in records] == ["0", "1"]
         assert all(
             c["tokens"] == "the cat sat".split() for c in records[0]["candidates"]
         )
+        assert [json.loads(line)["output"] for line in fused.splitlines()] == references
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("alpha beta gamma delta\nepsilon zeta beta\n")
+        argv = ["synth", str(refs), "--k", "5"]
+        unseeded = run(argv)
+        assert unseeded == run([*argv, "--seed", "0"])
+        assert unseeded[1] != run([*argv, "--seed", "1"])[1]  # the seed reaches the draws
+        # the library's corpus under the default config, so tests may draw corpora in-process
+        references = [line.split() for line in refs.read_text().splitlines()]
+        assert unseeded == (0, corpus_lines(generate_corpus(references, 5, NoiseConfig())), "")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         refs = tmp_path / "refs.txt"
@@ -301,18 +300,6 @@ class TestSynth:
         records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
         assert [r["id"] for r in records] == ["0", "1"]
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        # every noise flag reaches NoiseConfig: substitution alone, then none
-        refs = tmp_path / "refs.txt"
-        refs.write_text("a b c d e f\n")
-        argv = ["synth", str(refs), "--k", "1", "--seed", "4", "--insertion-rate", "0",
-                "--deletion-rate", "0", "--duplication-rate", "0"]
-        _, out, _ = run([*argv, "--substitution-rate", "1"])
-        tokens = json.loads(out)["candidates"][0]["tokens"]
-        assert all(tok != ref for tok, ref in zip(tokens, "a b c d e f".split()))
-        _, out, _ = run([*argv, "--substitution-rate", "0"])
-        assert json.loads(out)["candidates"][0]["tokens"] == "a b c d e f".split()
-
 
 class TestBleu:
     def test_text_files(self, tmp_path):
@@ -335,16 +322,6 @@ class TestBleu:
         code, out, _ = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
         assert code == 0
         assert json.loads(out)["bleu"] == 100.0
-
-    def test_smoothing_flag(self, tmp_path):
-        hyp = tmp_path / "hyp.txt"
-        ref = tmp_path / "ref.txt"
-        hyp.write_text("a b q r\n")
-        ref.write_text("a b c d\n")
-        plain = json.loads(run(["bleu", str(hyp), str(ref)])[1])
-        smoothed = json.loads(run(["bleu", str(hyp), str(ref), "--smooth", "0.1"])[1])
-        assert plain["bleu"] == 0.0
-        assert smoothed["bleu"] > 0.0
 
     @pytest.mark.parametrize("bad", ["hyp", "ref"])
     def test_invalid_utf8_line_named(self, tmp_path, bad):
@@ -458,23 +435,16 @@ class TestBleu:
 
 
 class TestCompare:
-    def make_corpus(self, tmp_path, noise_flags=()):
+    def make_corpus(self, tmp_path, config=NoiseConfig(rng_seed=3)):
+        """30 references and 4-candidate records drawn under ``config`` (by default,
+        what ``cds synth --k 4 --seed 3`` writes)."""
+        references = [[f"w{(i * 7 + j) % 23}" for j in range(10)] for i in range(30)]
         refs = tmp_path / "refs.txt"
-        refs.write_text(
-            "".join(
-                " ".join(f"w{(i * 7 + j) % 23}" for j in range(10)) + "\n"
-                for i in range(30)
-            )
-        )
-        _, records, _ = run(["synth", str(refs), "--k", "4", "--seed", "3", *noise_flags])
-        return refs, records
+        refs.write_text("".join(" ".join(ref) + "\n" for ref in references))
+        return refs, corpus_lines(generate_corpus(references, 4, config))
 
     def test_zero_noise_scores_100_everywhere(self, tmp_path):
-        flags = [
-            "--substitution-rate", "0", "--insertion-rate", "0",
-            "--deletion-rate", "0", "--duplication-rate", "0",
-        ]
-        refs, records = self.make_corpus(tmp_path, flags)
+        refs, records = self.make_corpus(tmp_path, QUIET)
         code, out, err = run(["compare", "--refs", str(refs), "--json"], records)
         assert code == 0, err
         summary = json.loads(out)
@@ -546,12 +516,16 @@ class TestCompare:
         code, out, err = run(["compare", "--refs", str(long)], records)
         assert code == 1 and out == ""
         assert [json.loads(line) for line in err.splitlines()] == [
-            {"line": 0, "error": "more references than records"}
+            {"line": 0, "error": "more references than records: reference line 31 has no record"}
         ]
 
     @pytest.mark.parametrize(
         "refs_text, message",
-        [("", "no records to compare"), ("w1 w2\n", "more references than records")],
+        [
+            ("", "no records to compare"),
+            pytest.param("w1 w2\n", "more references than records: reference line 1 has no record",
+                         id="w1 w2\n-more references than records"),
+        ],
     )
     def test_empty_input(self, tmp_path, refs_text, message):
         refs = tmp_path / "refs.txt"
@@ -958,6 +932,12 @@ def flag_case(number, argv, named):
         # more digits than int() converts
         flag_case(92, ["compare", "--refs", "unused.txt", "--sweep-k", "1.." + TOO_MANY_DIGITS],
                   "--sweep-k"),
+        # removed options: synth draws at NoiseConfig's default rates, and bleu
+        # scores unsmoothed 4-gram BLEU; the library takes the others
+        flag_case(93, ["synth", "r.txt", "--substitution-rate", "0.1"], "--substitution-rate"),
+        flag_case(94, ["synth", "r.txt", "--error-score-std", "0.5"], "--error-score-std"),
+        flag_case(95, ["bleu", "h.txt", "r.txt", "--max-n", "4"], "--max-n"),
+        flag_case(96, ["bleu", "h.txt", "r.txt", "--smooth", "0.1"], "--smooth"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -992,13 +972,8 @@ def setting_case(number, argv, score_floor, named):
         setting_case(4, ["ngram-train", "-", "-o", "m.ngram", "--alpha", "0"], None, "--alpha"),
         setting_case(5, ["ngram-train", "-", "-o", "m.ngram", "--alpha", "inf"], None, "--alpha"),
         setting_case(6, ["synth", "r.txt", "--k", "0"], None, "--k"),
-        setting_case(7, ["synth", "r.txt", "--substitution-rate", "2"], None, "substitution_rate"),
         # CDS_SCORE_FLOOR is no longer read: a bad value is not a diagnostic
         setting_case(8, ["synth", "r.txt", "--k", "0"], "abc", "--k"),
-        # non-finite noise settings used to pass and write floor scores
-        setting_case(9, ["synth", "r.txt", "--correct-score-mean", "nan"], None,
-                     "correct_score_mean"),
-        setting_case(10, ["synth", "r.txt", "--error-score-std", "inf"], None, "error_score_std"),
         # orders above the bound: the cost of an order grows with its square
         setting_case(11, ["bleu", "h.txt", "r.txt", "--max-n", str(MAX_ORDER + 1)], None,
                      "--max-n"),
@@ -1036,16 +1011,12 @@ def test_order_bound_is_inclusive():
     assert cli._int_in(1, MAX_ORDER)(str(MAX_ORDER)) == MAX_ORDER
 
 
-# every value a command takes, 31 in all: a new option is a decision to change this table
+# every value a command takes, 21 in all: a new option is a decision to change this table
 COMMAND_OPTIONS = {
     "fuse": {"input", "--scorer", "--trace", "--oracle-check"},
     "npd": {"input", "--scorer"},
-    "synth": {
-        "refs", "--k", "--seed", "--substitution-rate", "--insertion-rate", "--deletion-rate",
-        "--duplication-rate", "--correct-score-mean", "--correct-score-std",
-        "--error-score-mean", "--error-score-std",
-    },
-    "bleu": {"hyp", "ref", "--hyp-jsonl", "--smooth", "--max-n"},
+    "synth": {"refs", "--k", "--seed"},
+    "bleu": {"hyp", "ref", "--hyp-jsonl"},
     "compare": {"input", "--refs", "--scorer", "--sweep-k", "--json"},
     "ngram-train": {"corpus", "--output", "--order", "--alpha"},
 }
@@ -1063,7 +1034,7 @@ def test_each_command_takes_exactly_its_options():
         for name, command in commands.choices.items()
     }
     assert got == COMMAND_OPTIONS
-    assert sum(map(len, got.values())) == 31
+    assert sum(map(len, got.values())) == 21
 
 
 class _RaisingScorer(Scorer):

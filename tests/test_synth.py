@@ -4,11 +4,7 @@ import pytest
 
 from candidate_soups.errors import EmptyInput
 from candidate_soups.synth import NoiseConfig, Vocabulary, generate_candidates, generate_corpus
-from helpers import random_references, word_vocab
-
-QUIET = NoiseConfig(
-    substitution_rate=0.0, insertion_rate=0.0, deletion_rate=0.0, duplication_rate=0.0
-)
+from helpers import QUIET, random_references, word_vocab
 
 
 class TestNoiseConfig:
