@@ -210,7 +210,10 @@ def fusion_record(ident: str, result: FusionResult, with_trace: bool) -> dict:
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # the encoder escapes every other line break; str.splitlines() also splits on these
 _LINE_BREAK_ESCAPES = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
-_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)  # writes a tuple as a list
+# Writes a tuple as a list.  No circular-reference check: every object
+# ``_dump`` writes is built fresh for the call from tuples, lists and dicts
+# of str, int and float, so it cannot hold a cycle.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False, check_circular=False)
 
 
 def _dump(obj: dict, out: IO) -> None:

@@ -4,22 +4,24 @@ The lattice is the exhaustive view of the same search space the greedy
 fusion walks: the set's partition, whose anchors are the lattice's nodes
 and whose divergence regions each hold one branch per candidate, plus one
 row of window means per region, ``means[r][j]`` being the score of
-candidate j's branch through region r.  A path's score is the sum of its
-branches' means, and each mean depends only on the branch taken in its own
-region.  The objective is separable, so the Viterbi recursion over the
-lattice collapses to an argmax per region: ``oracle_best`` costs
-O(regions x k) however many paths there are, and since no totals are
-summed, comparing two float means is exact.  Window means are computed
-here from scratch rather than shared with the fusion module, so a slicing
-bug on either side shows up as a mismatch.
+candidate j's branch through region r.  ``build_lattice`` makes one pass
+over the partition's elements and builds each region's row inline.  A
+path's score is the sum of its branches' means, and each mean depends only
+on the branch taken in its own region.  The objective is separable, so the
+Viterbi recursion over the lattice collapses to an argmax per region:
+``oracle_best`` costs O(regions x k) however many paths there are, and
+since no totals are summed, comparing two float means is exact.  Window
+means are computed here from scratch rather than shared with the fusion
+module, with their own clamped bounds, so a slicing bug on either side
+shows up as a mismatch.
 """
 
 from __future__ import annotations
 
 import math
 
-from .alignment import Anchor, partition
-from .candidates import CandidateSet, record
+from .alignment import Anchor, DivergenceRegion, partition
+from .candidates import CandidateSet, _new, record
 
 
 class SimplifiedLattice(record("SimplifiedLattice", "partition means")):
@@ -28,27 +30,28 @@ class SimplifiedLattice(record("SimplifiedLattice", "partition means")):
     __slots__ = ()
 
 
-def _window_mean(scores: tuple[float, ...], start: int, end: int) -> float:
-    # fsum keeps the mean bit-identical to the fusion side for equal windows,
-    # so exact ties break the same way in both searches.
-    lo = start - 1 if start > 0 else 0
-    hi = end + 1 if end + 1 < len(scores) else len(scores)
-    return math.fsum(scores[lo:hi]) / (hi - lo)
-
-
 def build_lattice(cset: CandidateSet) -> SimplifiedLattice:
     """Build the node-fused lattice of a validated, deduped candidate set.
 
-    ``means[r][j]`` is candidate j's window mean over divergence region r
-    under the set's stored scores.
+    One pass over the partition's elements: for each divergence region r,
+    ``means[r][j]`` is candidate j's window mean under the set's stored
+    scores, its window being the segment plus one bounding anchor token on
+    each side, both bounds clamped to the candidate's length.
     """
     part = partition(cset)
     scores = [c.scores for c in cset.candidates]
-    means = tuple(
-        tuple(_window_mean(s, a, b) for s, a, b in zip(scores, region.start, region.end))
-        for region in part.regions()
-    )
-    return SimplifiedLattice(part, means)
+    means = []
+    for element in part.elements:
+        if type(element) is DivergenceRegion:
+            row = []
+            for s, a, b in zip(scores, element.start, element.end):
+                lo = a - 1 if a > 0 else 0
+                hi = b + 1 if b + 1 < len(s) else len(s)
+                # fsum keeps the mean bit-identical to the fusion side for equal
+                # windows, so exact ties break the same way in both searches.
+                row.append(math.fsum(s[lo:hi]) / (hi - lo))
+            means.append(tuple(row))
+    return _new(SimplifiedLattice, (part, tuple(means)))
 
 
 def path_count(lattice: SimplifiedLattice) -> int:
@@ -66,7 +69,7 @@ def oracle_best(lattice: SimplifiedLattice) -> tuple[str, ...]:
     rows = iter(lattice.means)
     out: list[str] = []
     for element in lattice.partition.elements:
-        if isinstance(element, Anchor):
+        if type(element) is Anchor:
             out.append(element.token)
         else:
             row = next(rows)

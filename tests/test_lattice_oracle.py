@@ -207,6 +207,32 @@ def test_linear_oracle_matches_exhaustive_reference(cset):
     assert best == candidate_soups(cset).tokens
 
 
+def exact(rows):
+    """Rows of floats as their bit patterns: float.hex tells -0.0 from 0.0."""
+    return tuple(tuple(map(float.hex, row)) for row in rows)
+
+
+def assert_means_are_fusion_scores(cset):
+    # the module's stated invariant: the lattice's window means, computed
+    # apart from the fusion module, equal fusion's trace bit for bit
+    means = build_lattice(prepared(cset)).means
+    fusion_scores = tuple(c.segment_scores for c in candidate_soups(cset).trace)
+    assert means == fusion_scores
+    assert exact(means) == exact(fusion_scores)
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_sets())
+def test_lattice_means_equal_fusion_segment_scores(cset):
+    assert_means_are_fusion_scores(cset)
+
+
+def test_lattice_means_equal_fusion_segment_scores_on_random_sets():
+    rng = random.Random(34)
+    for _ in range(500):
+        assert_means_are_fusion_scores(random_candidate_set(rng))
+
+
 def test_oracle_runs_far_beyond_the_enumeration_cap():
     # one criterion-7-shaped sentence: 60 tokens, k=5, vocabulary of 80
     rng = random.Random(99)
