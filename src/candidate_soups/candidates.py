@@ -22,7 +22,7 @@ from .errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 # poisoning segment means.  Library calls take a ``score_floor``; the CLI uses this.
 DEFAULT_SCORE_FLOOR = -30.0
 
-_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
+_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %r"
 
 _new = tuple.__new__  # builds a record from fields that are already tuples
 
@@ -148,12 +148,18 @@ def validate(
     then, so a caller with a callback never loads it.  Scores above zero
     (or NaN) are an error.
 
+    The first failing check raises, so their order decides the error of a
+    set with several faults: the floor, the set has candidates, its source's
+    tokens, then each candidate in turn: it has tokens, as many scores as
+    tokens, valid tokens, no score above zero or NaN.  A set that raises
+    gives no warning.
+
     Raises:
+        ValueError: ``score_floor`` is above zero or NaN.
         EmptyCandidate: the set has no candidates, or a candidate no tokens.
+        InvalidToken: a token is empty or contains whitespace.
         LengthMismatch: a candidate's token and score counts differ.
         PositiveScore: a score is greater than zero or not a real number.
-        InvalidToken: a token is empty or contains whitespace.
-        ValueError: ``score_floor`` is above zero or NaN.
     """
     if not score_floor <= 0:
         raise ValueError(f"score_floor must be <= 0, got {score_floor!r}")
@@ -167,33 +173,24 @@ def validate(
     out: list[ScoredCandidate] = []
     for idx, cand in enumerate(cset.candidates):
         tokens, scores = cand.tokens, cand.scores
-        # a valid candidate whose scores lie in [score_floor, 0]: with no NaN
-        # present max and min are exact, and the sum of such scores is never NaN
-        if (
-            tokens
-            and len(tokens) == len(scores)
-            and _tokens_valid(tokens)
-            and max(scores) <= 0
-            and min(scores) >= score_floor
-            and not isnan(sum(scores))
-        ):
-            out.append(cand)
-            continue
-        where = f"set {cset.id!r} candidate {idx}"
         if not tokens:
-            raise EmptyCandidate(f"{where} has no tokens")
+            raise EmptyCandidate(f"set {cset.id!r} candidate {idx} has no tokens")
         if len(tokens) != len(scores):
-            raise LengthMismatch(f"{where}: {len(tokens)} tokens vs {len(scores)} scores")
+            raise LengthMismatch(
+                f"set {cset.id!r} candidate {idx}: {len(tokens)} tokens vs {len(scores)} scores"
+            )
         if not _tokens_valid(tokens):
-            _check_tokens(tokens, where)
-        # here some score lies outside [score_floor, 0]: either one is NaN or
-        # positive, or the candidate has a score to clamp
-        bad = next((s for s in scores if not s <= 0), None)
-        if bad is not None:
-            raise PositiveScore(f"{where}: score {bad!r} must be <= 0")
-        clamped += sum(s < score_floor for s in scores)
-        # the constructor makes an int floor a float
-        out.append(ScoredCandidate(tokens, [max(s, score_floor) for s in scores]))
+            _check_tokens(tokens, f"set {cset.id!r} candidate {idx}")
+        # max(scores) <= 0 rules out a positive score; a NaN can hide from max, but not
+        # from the sum of scores <= 0
+        if not (max(scores) <= 0 and not isnan(sum(scores))):
+            bad = next(s for s in scores if not s <= 0)
+            raise PositiveScore(f"set {cset.id!r} candidate {idx}: score {bad!r} must be <= 0")
+        if min(scores) < score_floor:
+            clamped += sum(s < score_floor for s in scores)
+            # the constructor makes an int floor a float
+            cand = ScoredCandidate(tokens, [max(s, score_floor) for s in scores])
+        out.append(cand)
 
     if clamped:
         if warn is not None:

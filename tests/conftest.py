@@ -4,6 +4,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import Phase, settings
 
 from candidate_soups import scoring
 from candidate_soups.synth import NoiseConfig, generate_corpus
@@ -20,6 +21,18 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+# ``tests/mutants.py`` runs its tests under this profile (``--hypothesis-profile
+# mutants``).  A kill needs only a failing example, not a shrunk one; with no
+# database and a fixed seed, every run of the catalogue draws the same examples.
+settings.register_profile(
+    "mutants",
+    phases=(Phase.explicit, Phase.generate),
+    database=None,
+    derandomize=True,
+    deadline=None,
+)
 
 
 @pytest.fixture(scope="session")

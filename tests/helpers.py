@@ -176,7 +176,7 @@ def reference_remove_adjacent_duplicates(cand: ScoredCandidate) -> ScoredCandida
 
 _WHITESPACE = re.compile(r"\s")
 
-_REFERENCE_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %s"
+_REFERENCE_CLAMP_WARNING = "clamped %d score(s) below %s in candidate set %r"
 
 
 def _reference_check_token(tok: str, where: str) -> None:

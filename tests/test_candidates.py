@@ -90,7 +90,7 @@ class TestValidate:
         (rec,) = caplog.records
         assert rec.name == "candidate_soups.candidates"
         assert rec.levelno == logging.WARNING
-        assert rec.getMessage() == "clamped 2 score(s) below -30.0 in candidate set s"
+        assert rec.getMessage() == "clamped 2 score(s) below -30.0 in candidate set 's'"
 
     def test_clamp_with_callback_calls_it_instead_of_logging(self, caplog):
         cset = CandidateSet("s", (cand(["a"], [-45.0]),))
@@ -98,7 +98,7 @@ class TestValidate:
         with caplog.at_level(logging.DEBUG):
             out = validate(cset, -30.0, messages.append)
         assert out.candidates[0].scores == (-30.0,)
-        assert messages == ["clamped 1 score(s) below -30.0 in candidate set s"]
+        assert messages == ["clamped 1 score(s) below -30.0 in candidate set 's'"]
         assert caplog.records == []
 
     def test_callback_not_called_without_clamping(self):
@@ -160,4 +160,36 @@ class TestValidate:
         messages = []
         out = validate(cset, -30.0, messages.append)
         assert [c.scores for c in out.candidates] == [(-30.0, -30.0, -1.0), (-2.0,)]
-        assert messages == ["clamped 1 score(s) below -30.0 in candidate set s"]
+        assert messages == ["clamped 1 score(s) below -30.0 in candidate set 's'"]
+
+    def test_clamp_rebuilds_only_the_candidates_it_changes(self):
+        # a candidate whose lowest score is the floor itself has nothing to clamp
+        at_floor, above = cand(["b"], [-30.0]), cand(["c"], [-1.0])
+        out = validate(CandidateSet("s", (cand(["a"], [-45.0]), at_floor, above)), -30.0)
+        assert out.candidates[1] is at_floor and out.candidates[2] is above
+
+    @pytest.mark.parametrize(
+        "floor, cset, error, message",
+        [
+            (1.0, CandidateSet("s", ()), ValueError, "score_floor"),
+            (-30.0, CandidateSet("s", (), ("a b",)), EmptyCandidate, "has no candidates"),
+            (-30.0, CandidateSet("s", (cand([], [0.5]),), ("",)), InvalidToken, "source"),
+            (-30.0, CandidateSet("s", (cand([], [0.5]),)), EmptyCandidate, "no tokens"),
+            (-30.0, CandidateSet("s", (cand(["a b"], [-1.0, 0.5]),)), LengthMismatch, "1 tokens"),
+            (-30.0, CandidateSet("s", (cand(["a b"], [0.5]),)), InvalidToken, "'a b'"),
+            (-30.0, CandidateSet("s", (cand(["a", "b"], [-45.0, 0.5]),)), PositiveScore, "0.5"),
+            (
+                -30.0,
+                CandidateSet("s", (cand(["a"], [-45.0]), cand(["b"], [0.5]), cand([], []))),
+                PositiveScore,
+                "candidate 1",
+            ),
+        ],
+        ids=["floor", "candidates", "source", "tokens", "lengths", "token", "score", "in-turn"],
+    )
+    def test_checks_run_in_the_documented_order(self, floor, cset, error, message):
+        # each set also fails every check after the one it names; no clamp is reported
+        messages = []
+        with pytest.raises(error, match=message):
+            validate(cset, floor, messages.append)
+        assert messages == []

@@ -827,6 +827,32 @@ def test_clamp_warning_emitted_as_json_diagnostic():
     assert diagnostic["line"] == 1
 
 
+# ids holding a quote, double quotes, a backslash, a lone surrogate and a "%"
+AWKWARD_IDS = ["it's", 'say "hi"', "back\\slash", "\ud800", "100%s"]
+# each a set's candidates with one fault for validate, or a score below the floor
+CANDIDATE_FAULTS = [
+    [{"tokens": ["a"], "scores": [-99]}],
+    [],
+    [{"tokens": [], "scores": []}],
+    [{"tokens": ["a", "b"], "scores": [-0.1]}],
+    [{"tokens": ["a b"], "scores": [-0.1]}],
+    [{"tokens": ["a"], "scores": [-0.1]}, {"tokens": ["a", "b"], "scores": [-0.1, 0.5]}],
+]
+
+
+def test_every_validate_diagnostic_and_clamp_warning_names_its_record():
+    # a clamp warning used to write the id unescaped, so on an id holding a lone
+    # surrogate the warning could not be written and the line's one diagnostic named no record
+    cases = list(itertools.product(AWKWARD_IDS, CANDIDATE_FAULTS))
+    lines = [json.dumps({"id": ident, "candidates": cands}) for ident, cands in cases]
+    _, _, err = run(["fuse"], "\n".join(lines))
+    diagnostics = [json.loads(line) for line in err.splitlines()]
+    for line_no, (ident, _) in enumerate(cases, start=1):
+        messages = [d["error"] for d in diagnostics if d["line"] == line_no]
+        assert messages, line_no
+        assert all(repr(ident) in message for message in messages), messages
+
+
 class _UnreadableInput(io.StringIO):
     def __iter__(self):
         raise AssertionError("input was read")

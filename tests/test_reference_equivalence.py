@@ -16,7 +16,9 @@ window means (and with them the lowest-index tie rule) occur, or from
 NaN and positive scores too; either may have a source.  Such sets rarely
 need more than the anchor search's first window, so ``far_anchor_cases``
 gives each of up to 10 candidates a run of its own tokens, up to 60 long,
-before the tokens they share.
+before the tokens they share, and ``many_common_cases`` gives 2-4
+candidates the same 17-64 distinct tokens in different orders, so the
+search ranks more than 16 common tokens (an ``event`` counts how often).
 
 The n-gram scorer and BLEU counting are checked the same way: small
 vocabularies, so that contexts repeat and clipping is common, plus tokens
@@ -45,7 +47,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -267,6 +269,47 @@ def test_find_next_anchor_past_the_first_window_matches_reference(case):
     assert ident(find_next_anchor(cset, start)) == ident(reference_find_next_anchor(cset, start))
 
 
+@st.composite
+def many_common_cases(draw):
+    """A set of 2-4 orders of the same 17-64 distinct tokens, and a start.
+
+    Candidate 0 holds the tokens in order; each other candidate holds them
+    reversed, with its halves swapped, or shuffled.  The first windows that
+    share a token then often share more than 16, far apart: the shape whose
+    ranking costs O(k * w^2).  Starts lie in the first eighth.
+    """
+    n = draw(st.integers(min_value=17, max_value=64))
+    tokens = [f"t{i}" for i in range(n)]
+    orders = st.sampled_from([tokens[::-1], tokens[n // 2:] + tokens[: n // 2]])
+    orders |= st.permutations(tokens)
+    k = draw(st.integers(min_value=2, max_value=4))
+    candidates = [tokens] + [draw(orders) for _ in range(k - 1)]
+    start = tuple(draw(st.integers(min_value=0, max_value=n // 8)) for _ in range(k))
+    return _set(*candidates), start
+
+
+def _ranked_tokens(cset: CandidateSet, start: tuple[int, ...]) -> set[str]:
+    """The common tokens of the first windows ``s[p:p + w]`` (``w`` doubling from
+    the candidate count) that share one: the tokens ``find_next_anchor`` ranks."""
+    seqs = [c.tokens for c in cset.candidates]
+    width = len(seqs)
+    while True:
+        common = set.intersection(*(set(s[p:p + width]) for s, p in zip(seqs, start)))
+        if common or width >= max(map(len, seqs)):
+            return common
+        width *= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(many_common_cases())
+@example((_set([f"t{i}" for i in range(40)], [f"t{i}" for i in range(40)][::-1]), (0, 0)))
+def test_find_next_anchor_with_many_common_tokens_matches_reference(case):
+    cset, start = case
+    if len(_ranked_tokens(cset, start)) > 16:
+        event("more than 16 common tokens ranked")
+    assert ident(find_next_anchor(cset, start)) == ident(reference_find_next_anchor(cset, start))
+
+
 @settings(max_examples=400, deadline=None)
 @given(candidate_sets())
 def test_partition_matches_reference(cset):
@@ -352,7 +395,7 @@ def test_validate_clamps_with_one_counted_warning(scores, clamped):
     with captured_warnings() as records:
         out = validate(cset)
     assert [r.getMessage() for r in records] == [
-        f"clamped {clamped} score(s) below {FLOOR} in candidate set e"
+        f"clamped {clamped} score(s) below {FLOOR} in candidate set 'e'"
     ]
     assert all(s >= FLOOR for s in out.candidates[0].scores)
     assert out == reference_validate(cset)
