@@ -1,9 +1,11 @@
 """Corpus-level BLEU with brevity penalty and per-sentence n-gram clipping.
 
-Clipped n-gram counts are summed across the corpus first and divided last
-(no per-sentence averaging), matching the original metric.  One reference
-per hypothesis.  Token streams are compared as-is; callers control
-tokenization.
+BLEU here has one definition, Papineni et al.'s: the clipped precisions of
+orders 1 to ``ORDER`` (4), their geometric mean times the brevity penalty,
+and no smoothing, so a precision of zero scores 0.  Clipped n-gram counts
+are summed across the corpus first and divided last (no per-sentence
+averaging), matching the original metric.  One reference per hypothesis.
+Token streams are compared as-is; callers control tokenization.
 
 A ``Reference`` collects one reference sentence's n-grams once, as a set
 per order plus a count for only the n-grams that occur twice or more, and
@@ -37,6 +39,8 @@ from .errors import EmptyInput, LengthMismatch
 
 TokenSeq = Sequence[str]
 
+ORDER = 4  # the longest n-gram counted
+
 
 class BleuReport(
     record("BleuReport", "bleu ngram_precisions brevity_penalty hyp_length ref_length")
@@ -59,7 +63,7 @@ def _ngrams(tokens: tuple[str, ...], n: int):
 
 
 class Reference:
-    """One non-empty reference sentence, with its n-grams of orders 1..max_n.
+    """One non-empty reference sentence, with its n-grams of orders 1..ORDER.
 
     For each order it keeps the set of its n-grams (the keys of its
     ``Counter`` at an order with a repeat) and a count for only those that
@@ -67,24 +71,20 @@ class Reference:
     tuples.  ``clipped_matches`` remembers its result for
     each distinct hypothesis in a dict that lives as long as this object,
     so build one per reference sentence and let it go with that sentence.
-    It serves any ``BleuAccumulator`` whose ``max_n`` is at most its own.
     Not meant to be shared between threads.
 
     Raises EmptyInput for an empty reference.
     """
 
-    __slots__ = ("tokens", "max_n", "_grams", "_matches")
+    __slots__ = ("tokens", "_grams", "_matches")
 
-    def __init__(self, tokens: TokenSeq, max_n: int = 4):
-        if max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {max_n}")
+    def __init__(self, tokens: TokenSeq):
         if not tokens:
             raise EmptyInput("reference sentence is empty")
         self.tokens = tokens = tuple(tokens)
-        self.max_n = max_n
         self._grams: list[tuple[AbstractSet, dict]] = []
         repeating = True  # an order without a repeated n-gram has none above it
-        for n in range(1, max_n + 1):
+        for n in range(1, ORDER + 1):
             grams = _ngrams(tokens, n)
             if repeating:
                 grams = Counter(grams)
@@ -96,7 +96,7 @@ class Reference:
         self._matches: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def clipped_matches(self, hypothesis: TokenSeq) -> tuple[int, ...]:
-        """Clipped matches of orders 1..min(max_n, len(hypothesis)).
+        """Clipped matches of orders 1..min(ORDER, len(hypothesis)).
 
         Each hypothesis n-gram counts at most as often as in the reference.
         Orders longer than the hypothesis have no n-grams and are left out.
@@ -132,12 +132,9 @@ class Reference:
 class BleuAccumulator:
     """Streaming clipped-count accumulator, one sentence pair at a time."""
 
-    def __init__(self, max_n: int = 4):
-        if max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {max_n}")
-        self.max_n = max_n
-        self.matched = [0] * max_n
-        self.total = [0] * max_n
+    def __init__(self):
+        self.matched = [0] * ORDER
+        self.total = [0] * ORDER
         self.hyp_length = 0
         self.ref_length = 0
         self.pairs = 0
@@ -145,24 +142,18 @@ class BleuAccumulator:
     def add(self, hypothesis: TokenSeq, reference: Reference) -> None:
         """Count one sentence pair.
 
-        ``reference`` is a ``Reference`` of order at least ``max_n``; a
-        caller that scores several hypotheses against one sentence builds
-        it once and passes it to every add.  Raises ValueError for a
-        reference of a lower order.
+        A caller that scores several hypotheses against one sentence builds
+        its ``Reference`` once and passes it to every add.
         """
-        if reference.max_n < self.max_n:
-            raise ValueError(
-                f"reference counts n-grams up to {reference.max_n}, accumulator needs {self.max_n}"
-            )
         matches = reference.clipped_matches(hypothesis)
         self.pairs += 1
         self.hyp_length += len(hypothesis)
         self.ref_length += len(reference.tokens)
-        for n, matched in enumerate(matches[: self.max_n], start=1):
-            self.matched[n - 1] += matched
-            self.total[n - 1] += len(hypothesis) - n + 1
+        for i, matched in enumerate(matches):  # order i + 1
+            self.matched[i] += matched
+            self.total[i] += len(hypothesis) - i
 
-    def report(self, smoothing_epsilon: float | None = None) -> BleuReport:
+    def report(self) -> BleuReport:
         if self.pairs == 0:
             raise EmptyInput("no sentence pairs were scored")
         if self.hyp_length == 0:
@@ -172,8 +163,6 @@ class BleuAccumulator:
             if total == 0:
                 # no n-grams of this order exist at all: vacuously perfect
                 precisions.append(1.0)
-            elif matched == 0 and smoothing_epsilon is not None:
-                precisions.append(min(smoothing_epsilon, total) / total)
             else:
                 precisions.append(matched / total)
         if self.hyp_length < self.ref_length:
@@ -184,33 +173,20 @@ class BleuAccumulator:
             score = 0.0
         else:
             score = 100.0 * bp * math.exp(
-                math.fsum(math.log(p) for p in precisions) / self.max_n
+                math.fsum(math.log(p) for p in precisions) / ORDER
             )
         return BleuReport(score, tuple(precisions), bp, self.hyp_length, self.ref_length)
 
 
-def corpus_bleu(
-    hypotheses: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    max_n: int = 4,
-    epsilon: float | None = None,
-) -> BleuReport:
-    """Corpus BLEU; without ``epsilon``, any precision of zero yields a score of zero.
-
-    With ``epsilon``, a finite number > 0, a zero numerator counts as
-    ``epsilon`` instead.  The score is then identical whenever every
-    precision is positive; meant for sentence-level diagnostics where zero
-    counts are routine.
-    """
-    if epsilon is not None and not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+def corpus_bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> BleuReport:
+    """Corpus BLEU of one hypothesis per reference; any precision of zero scores 0."""
     if len(hypotheses) != len(references):
         raise LengthMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
     if not hypotheses:
         raise EmptyInput("empty corpus")
-    acc = BleuAccumulator(max_n)
+    acc = BleuAccumulator()
     for hyp, ref in zip(hypotheses, references):
-        acc.add(hyp, Reference(ref, max_n))
-    return acc.report(smoothing_epsilon=epsilon)
+        acc.add(hyp, Reference(ref))
+    return acc.report()

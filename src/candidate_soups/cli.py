@@ -14,8 +14,10 @@ type (``_int_in``, ``_positive_float``, ``_k_range``) rejects, or a
 ``--scorer`` that is unknown or names a model that ``load_ngram`` rejects.
 A count, order or bound is ASCII decimal digits alone
 (``candidates._decimal``); ``--seed`` and ``--alpha`` take what ``int()``
-and ``float()`` take.  ``synth`` draws with ``NoiseConfig``'s default rates
-and ``bleu`` scores plain 4-gram BLEU; the library reaches the rest.
+and ``float()`` take.  ``synth`` draws with ``NoiseConfig``'s default rates;
+only library callers set others.  ``bleu`` reads its hypotheses as the JSON
+lines that ``fuse`` and ``npd`` write and scores the one BLEU of the ``bleu``
+module.
 
 Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
@@ -411,7 +413,7 @@ def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
 def cmd_bleu(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     from .bleu import corpus_bleu
 
-    hyps = _read_jsonl_outputs(args.hyp) if args.hyp_jsonl else _read_token_lines(args.hyp)
+    hyps = _read_jsonl_outputs(args.hyp)
     refs = _read_token_lines(args.ref)
     if len(hyps) == len(refs):  # a count mismatch is reported first, as corpus_bleu does
         for line_no, ref in enumerate(refs, start=1):
@@ -558,13 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(handler=cmd_synth)
 
     bleu = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against references")
-    bleu.add_argument("hyp", help="hypotheses: tokenized text, or JSONL with --hyp-jsonl")
+    bleu.add_argument("hyp", help="hypotheses: JSONL records' 'output' lists, as fuse writes")
     bleu.add_argument("ref", help="references: one tokenized sentence per line")
-    bleu.add_argument(
-        "--hyp-jsonl",
-        action="store_true",
-        help="read hypotheses from fusion records' 'output' fields",
-    )
     bleu.set_defaults(handler=cmd_bleu)
 
     compare = sub.add_parser(

@@ -495,7 +495,7 @@ def reference_bleu_add(acc: BleuAccumulator, hypothesis, reference) -> None:
     acc.pairs += 1
     acc.hyp_length += len(hypothesis)
     acc.ref_length += len(reference)
-    for n in range(1, acc.max_n + 1):
+    for n in range(1, 4 + 1):
         hyp_counts = _reference_ngram_counts(hypothesis, n)
         if not hyp_counts:
             continue

@@ -41,6 +41,7 @@ Mutant = namedtuple("Mutant", "name path old new tests survives", defaults=(None
 
 _CANDIDATES = "src/candidate_soups/candidates.py"
 _ALIGNMENT = "src/candidate_soups/alignment.py"
+_BLEU = "src/candidate_soups/bleu.py"
 _LENGTH_CHECK = """\
         if len(tokens) != len(scores):
             raise LengthMismatch(
@@ -130,6 +131,60 @@ MUTANTS = (
             "tests/test_cli.py::TestOracleCheckAtRealLengths",
         ),
         survives="the oracle's lattice is built on fusion's own partition (ROADMAP item 3)",
+    ),
+    Mutant(
+        "the anchor search stops ranking at an offset equal to the best largest advance",
+        _ALIGNMENT,
+        "if offset > best[0]:",
+        "if offset >= best[0]:",
+        (
+            "tests/test_alignment.py::TestFindNextAnchor"
+            "::test_total_advance_outranks_position_in_candidate_zero",
+            "tests/test_reference_equivalence.py"
+            "::test_find_next_anchor_with_many_common_tokens_matches_reference",
+        ),
+    ),
+    Mutant(
+        "the anchor search ranks by total advance before largest advance",
+        _ALIGNMENT,
+        _TOTAL_ADVANCE,
+        "key = (sum(advances), max(advances), advances)",
+        (
+            "tests/test_alignment.py::TestPartition::test_three_way_anchor_sequence",
+            "tests/test_kernel_equivalence.py::test_find_next_anchor_matches_previous",
+        ),
+    ),
+    Mutant(
+        "the anchor search ranks common tokens in set order, not candidate 0's",
+        _ALIGNMENT,
+        "for offset in sorted(map(first.index, common)):",
+        "for offset in map(first.index, common):",
+        (
+            "tests/test_kernel_equivalence.py::test_fusion_commutes_with_token_renaming",
+            "tests/test_reference_equivalence.py"
+            "::test_find_next_anchor_with_many_common_tokens_matches_reference",
+        ),
+    ),
+    Mutant(
+        "the anchor search stops doubling once the shortest window is short",
+        _ALIGNMENT,
+        "max(map(len, windows)) < width",
+        "min(map(len, windows)) < width",
+        (
+            "tests/test_alignment.py::TestFindNextAnchor"
+            "::test_window_survives_candidate_exhaustion",
+            "tests/test_kernel_equivalence.py::test_find_next_anchor_matches_previous",
+        ),
+    ),
+    Mutant(
+        "the BLEU clip counts a repeat on both sides once too often",
+        _BLEU,
+        "matched += min(h, r) - 1",
+        "matched += min(h, r)",
+        (
+            "tests/test_bleu.py::test_clipped_matches_by_hand",
+            "tests/test_reference_equivalence.py::test_bleu_accumulator_matches_reference",
+        ),
     ),
 )
 

@@ -301,11 +301,16 @@ class TestSynth:
         assert [r["id"] for r in records] == ["0", "1"]
 
 
+def hypotheses(*texts):
+    """JSON lines as ``fuse`` writes them, one per whitespace-tokenized text."""
+    return "".join(json.dumps({"output": text.split()}) + "\n" for text in texts)
+
+
 class TestBleu:
-    def test_text_files(self, tmp_path):
-        hyp = tmp_path / "hyp.txt"
+    def test_hand_checked_score(self, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
         ref = tmp_path / "ref.txt"
-        hyp.write_text("a b c d\n")
+        hyp.write_text(hypotheses("a b c d"))
         ref.write_text("a b c d e\n")
         code, out, _ = run(["bleu", str(hyp), str(ref)])
         assert code == 0
@@ -319,17 +324,21 @@ class TestBleu:
         hyp.write_text(fused)
         ref = tmp_path / "ref.txt"
         ref.write_text(" ".join(CROSS_ERROR_FUSED) + "\n")
-        code, out, _ = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        code, out, _ = run(["bleu", str(hyp), str(ref)])
         assert code == 0
         assert json.loads(out)["bleu"] == 100.0
 
     @pytest.mark.parametrize("bad", ["hyp", "ref"])
     def test_invalid_utf8_line_named(self, tmp_path, bad):
         # used to abort with a "line 0" 'utf-8' codec error
-        files = {"hyp": tmp_path / "hyp.txt", "ref": tmp_path / "ref.txt"}
-        files["hyp"].write_text("a b\nc d\n")
-        files["ref"].write_text("a b\nc d\n")
-        files[bad].write_bytes(b"a b\nc \xff d\n")
+        files = {"hyp": tmp_path / "hyp.jsonl", "ref": tmp_path / "ref.txt"}
+        good = {"hyp": hypotheses("a b", "c d").encode(), "ref": b"a b\nc d\n"}
+        broken = {
+            "hyp": b'{"output": ["a", "b"]}\n{"output": ["c", "\xff", "d"]}\n',
+            "ref": b"a b\nc \xff d\n",
+        }
+        for name, path in files.items():
+            path.write_bytes((broken if name == bad else good)[name])
         code, out, err = run(["bleu", str(files["hyp"]), str(files["ref"])])
         assert code == 1 and out == ""
         assert [json.loads(line) for line in err.splitlines()] == [
@@ -366,7 +375,7 @@ class TestBleu:
         hyp.write_bytes(text.encode("utf-8", "surrogateescape"))
         ref = tmp_path / "ref.txt"
         ref.write_text("a b\nc d\n")
-        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        code, out, err = run(["bleu", str(hyp), str(ref)])
         assert code == 1 and out == ""
         assert [json.loads(text) for text in err.splitlines()] == [
             {"line": 2, "error": f"{hyp}: {message}"}
@@ -378,7 +387,7 @@ class TestBleu:
         hyp.write_text(f"\n{records[0]}\n \t\n\n{records[1]}\n\n")
         ref = tmp_path / "ref.txt"
         ref.write_text("a b c d\ne f g h\n")
-        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        code, out, err = run(["bleu", str(hyp), str(ref)])
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["bleu"] == 100.0 and report["hyp_len"] == report["ref_len"] == 8
@@ -394,7 +403,7 @@ class TestBleu:
         hyp.write_text('{"output": []}\n' + json.dumps({"output": tokens}) + "\n")
         ref = tmp_path / "ref.txt"
         ref.write_text("a\na b\n")
-        code, out, err = run(["bleu", "--hyp-jsonl", str(hyp), str(ref)])
+        code, out, err = run(["bleu", str(hyp), str(ref)])
         assert code == 1 and out == ""
         assert [json.loads(text) for text in err.splitlines()] == [
             {"line": 2, "error": f"{hyp}: 'output' token {bad!r} must be a non-empty "
@@ -402,18 +411,18 @@ class TestBleu:
         ]
 
     def test_count_mismatch_fails(self, tmp_path):
-        hyp = tmp_path / "hyp.txt"
+        hyp = tmp_path / "hyp.jsonl"
         ref = tmp_path / "ref.txt"
-        hyp.write_text("a\nb\n")
+        hyp.write_text(hypotheses("a", "b"))
         ref.write_text("a\n")
         code, _, err = run(["bleu", str(hyp), str(ref)])
         assert code == 1
         assert "error" in json.loads(err)
 
     def test_blank_hypotheses_fail(self, tmp_path):
-        hyp = tmp_path / "hyp.txt"
+        hyp = tmp_path / "hyp.jsonl"
         ref = tmp_path / "ref.txt"
-        hyp.write_text("\n\n")
+        hyp.write_text(hypotheses("", ""))
         ref.write_text("a b\nc d\n")
         code, out, err = run(["bleu", str(hyp), str(ref)])
         assert code == 1 and out == ""
@@ -423,9 +432,9 @@ class TestBleu:
 
     def test_empty_reference_line_named(self, tmp_path):
         # used to report "reference sentence is empty" at line 0
-        hyp = tmp_path / "hyp.txt"
+        hyp = tmp_path / "hyp.jsonl"
         ref = tmp_path / "ref.txt"
-        hyp.write_text("a b\nc d\ne f\n")
+        hyp.write_text(hypotheses("a b", "c d", "e f"))
         ref.write_text("a b\n\ne f\n")
         code, out, err = run(["bleu", str(hyp), str(ref)])
         assert code == 1 and out == ""
@@ -461,6 +470,29 @@ class TestCompare:
         assert rows[1]["cds"] == pytest.approx(summary["methods"]["single"])
         assert rows[4]["cds"] == pytest.approx(summary["methods"]["cds"])
         assert summary["mean_fusion_ms"] > 0.0
+
+    def test_methods_equal_bleu_of_fuse_and_npd_output(self, tmp_path):
+        # compare and bleu score with one BLEU: compare's cds and npd figures are
+        # what bleu reports on fuse's and npd's stdout, and a sweep row that keeps
+        # every candidate is its method's figure
+        refs, records = self.make_corpus(tmp_path)
+        argv = ["compare", "--refs", str(refs), "--sweep-k", "1..7", "--json"]
+        code, out, err = run(argv, records)
+        assert code == 0, err
+        summary = json.loads(out)
+        for method, command in (("cds", "fuse"), ("npd", "npd")):
+            code, outputs, err = run([command], records)
+            assert code == 0, err
+            hyp = tmp_path / f"{method}.jsonl"
+            hyp.write_text(outputs)
+            code, report, err = run(["bleu", str(hyp), str(refs)])
+            assert code == 0, err
+            assert summary["methods"][method] == json.loads(report)["bleu"]
+            assert 0.0 < summary["methods"][method] < 100.0
+        full = [row for row in summary["sweep"] if row["k"] >= 4]  # every record holds 4
+        assert [row["k"] for row in full] == [4, 5, 6, 7]
+        for row in full:
+            assert (row["cds"], row["npd"]) == (summary["methods"]["cds"], summary["methods"]["npd"])
 
     def test_text_table_output(self, tmp_path):
         refs, records = self.make_corpus(tmp_path)
@@ -719,14 +751,14 @@ class TestEachInputAlignedAndScoredOnce:
         original_clip = bleu.Reference._clip
 
         def counting(self, hypothesis):
-            computed.append((hypothesis, self.tokens, self.max_n))
+            computed.append((hypothesis, self.tokens, id(self)))
             return original_clip(self, hypothesis)
 
         original_add = bleu.BleuAccumulator.add
 
         def recording(self, hypothesis, reference):
             # holding each Reference keeps its id unique for the whole run
-            added.append((tuple(hypothesis), reference, self.max_n))
+            added.append((tuple(hypothesis), reference))
             return original_add(self, hypothesis, reference)
 
         monkeypatch.setattr(bleu.Reference, "_clip", counting)
@@ -736,11 +768,11 @@ class TestEachInputAlignedAndScoredOnce:
         assert len(added) == 17 * 30
         # each record's 17 adds share one Reference, built for that record
         per_record = [
-            [(hyp, ref.tokens, max_n) for hyp, ref, max_n in group]
+            [(hyp, ref.tokens, id(ref)) for hyp, ref in group]
             for _, group in itertools.groupby(added, key=lambda add: id(add[1]))
         ]
         assert [len(group) for group in per_record] == [17] * 30
-        assert len({id(ref) for _, ref, _ in added}) == 30
+        assert len({id(ref) for _, ref in added}) == 30
         assert computed == [triple for group in per_record for triple in dict.fromkeys(group)]
         assert len(computed) < len(added) / 2
 
@@ -964,6 +996,8 @@ def flag_case(number, argv, named):
         flag_case(94, ["synth", "r.txt", "--error-score-std", "0.5"], "--error-score-std"),
         flag_case(95, ["bleu", "h.txt", "r.txt", "--max-n", "4"], "--max-n"),
         flag_case(96, ["bleu", "h.txt", "r.txt", "--smooth", "0.1"], "--smooth"),
+        # bleu reads hypotheses only as the JSON lines fuse and npd write
+        flag_case(97, ["bleu", "h.jsonl", "r.txt", "--hyp-jsonl"], "--hyp-jsonl"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, argv, named):
@@ -1037,12 +1071,12 @@ def test_order_bound_is_inclusive():
     assert cli._int_in(1, MAX_ORDER)(str(MAX_ORDER)) == MAX_ORDER
 
 
-# every value a command takes, 21 in all: a new option is a decision to change this table
+# every value a command takes, 20 in all: a new option is a decision to change this table
 COMMAND_OPTIONS = {
     "fuse": {"input", "--scorer", "--trace", "--oracle-check"},
     "npd": {"input", "--scorer"},
     "synth": {"refs", "--k", "--seed"},
-    "bleu": {"hyp", "ref", "--hyp-jsonl"},
+    "bleu": {"hyp", "ref"},
     "compare": {"input", "--refs", "--scorer", "--sweep-k", "--json"},
     "ngram-train": {"corpus", "--output", "--order", "--alpha"},
 }
@@ -1060,7 +1094,7 @@ def test_each_command_takes_exactly_its_options():
         for name, command in commands.choices.items()
     }
     assert got == COMMAND_OPTIONS
-    assert sum(map(len, got.values())) == 21
+    assert sum(map(len, got.values())) == 20
 
 
 class _RaisingScorer(Scorer):
@@ -1298,7 +1332,10 @@ def unicode_commands(tmp_path):
         "records.jsonl": records,
         "bad.jsonl": records + UNICODE_BAD_LINE,
         "refs.txt": UNICODE_REFS,
-        "hyps.txt": "ą 日 b\na y b\n",
+        "hyps.jsonl": "".join(
+            json.dumps({"output": text.split()}, ensure_ascii=False) + "\n"
+            for text in ("ą 日 b", "a y b")
+        ),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -1314,7 +1351,7 @@ def unicode_commands(tmp_path):
           "--json"], ""),
         (["compare", "-", "--refs", path["refs.txt"]], records),
         (["synth", path["refs.txt"], "--k", "3", "--seed", "5"], ""),
-        (["bleu", path["hyps.txt"], path["refs.txt"]], ""),
+        (["bleu", path["hyps.jsonl"], path["refs.txt"]], ""),
         (["ngram-train", path["refs.txt"], "-o", trained], ""),
         (["ngram-train", "-", "-o", trained, "--order", "2"], UNICODE_REFS),
     ]

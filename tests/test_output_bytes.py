@@ -35,7 +35,7 @@ PINNED = {
         "142720db80589c0b765a5716aa22903bfa192d7b54b4ce76562184e9d9b0db2a",
     "compare --sweep-k 1..7 --refs {refs} {records}":
         "ce9d0cca4399243d12b789f6042ebb34a1b30a61f9209858c3393f79e8f7837d",
-    "bleu --hyp-jsonl {fused} {refs}":
+    "bleu {fused} {refs}":
         "5b8d013883277288d0a0d129078b3a6281f27b12dd478425c5a20a7c4aa1d568",
     "synth {refs} --k 7 --seed 0":
         "4b2559d5af790a11c50541bb77a5b3bf778331dc7df8198477368cf3bf97ca21",
