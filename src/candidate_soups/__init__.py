@@ -12,7 +12,8 @@ everything else is imported from its submodule (``candidate_soups.alignment``
 and so on).  They are loaded on first use (PEP 562): ``import
 candidate_soups`` imports no submodule, and ``from candidate_soups import X``
 imports only the module that defines ``X``.  A ``cds`` command imports
-``bleu``, ``lattice_oracle`` and ``synth`` only when it runs them.
+``bleu``, ``lattice_oracle``, ``ngram``, ``synth`` and the corpus commands'
+``cli_corpus`` only when it runs them.
 """
 
 from importlib import import_module
@@ -25,7 +26,8 @@ _EXPORTS = {
     "candidates": ("CandidateSet", "ScoredCandidate", "validate"),
     "errors": ("CdsError",),
     "fusion": ("FusionResult", "candidate_soups"),
-    "scoring": ("NGramScorer", "Scorer", "SelfScorer", "load_ngram", "npd_select", "train_ngram"),
+    "ngram": ("NGramScorer", "load_ngram", "train_ngram"),
+    "scoring": ("Scorer", "SelfScorer", "npd_select"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,24 +7,30 @@ bad line (malformed JSON or UTF-8, a record of the wrong shape or types, an
 invalid candidate set, an empty reference) to stderr as a JSON line
 ``{"line": N, "error": "..."}`` and go on with the next line.  The commands
 that need a whole input (compare, bleu, ngram-train) stop at the first bad
-line with one such diagnostic (``_Stop``).  The process exits 0 on success,
-1 when any line failed, 2 on usage errors.  A usage error is reported as one
-line-0 diagnostic before any input is read: an argument that argparse or its
-type (``_int_in``, ``_positive_float``, ``_k_range``) rejects, or a
-``--scorer`` that is unknown or names a model that ``load_ngram`` rejects.
-A count, order or bound is ASCII decimal digits alone
-(``candidates._decimal``); ``--seed`` and ``--alpha`` take what ``int()``
-and ``float()`` take.  ``synth`` draws with ``NoiseConfig``'s default rates;
-only library callers set others.  ``bleu`` reads its hypotheses as the JSON
-lines that ``fuse`` and ``npd`` write and scores the one BLEU of the ``bleu``
-module.
+line with one such diagnostic (``_Stop``).  ``-`` names stdin in every file
+argument.  The process exits 0 on success, 1 when any line failed, 2 on
+usage errors.  A usage error is reported as one line-0 diagnostic before any
+input is read: an argument that argparse or its type (``_k_range`` here,
+``_int_in`` and ``_positive_float`` in ``cli_corpus``) rejects, ``-`` given
+for two inputs of one command, or a ``--scorer`` that is unknown or names a
+model that ``load_ngram`` rejects.  A count, order or bound is ASCII decimal
+digits alone (``candidates._decimal``); ``--seed`` and ``--alpha`` take what
+``int()`` and ``float()`` take.  ``synth`` draws with ``NoiseConfig``'s
+default rates; only library callers set others.  ``bleu`` reads its
+hypotheses as the JSON lines that ``fuse`` and ``npd`` write and scores the
+one BLEU of the ``bleu`` module.
 
 Scores are clamped to ``DEFAULT_SCORE_FLOOR``, and a clamp is reported as a
 ``"warning: ..."`` diagnostic on its record's line.  The process's own
 stdin, stdout and stderr are UTF-8 whatever the locale, so a run depends
 only on its arguments and input bytes.  Output is strict JSON (no NaN or
-Infinity) in valid UTF-8.  Only the commands that run ``bleu``,
-``lattice_oracle`` or ``synth`` import them.
+Infinity) in valid UTF-8.
+
+A process compiles and builds only what its command runs: ``main`` builds
+the parser of the one command it is given (all six for ``-h`` or an unknown
+command), ``synth``, ``bleu`` and ``ngram-train`` live in ``cli_corpus``,
+and ``bleu``, ``lattice_oracle``, ``ngram`` and ``synth`` load only in the
+commands that run them.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import re
 import sys
 import time
@@ -44,31 +49,20 @@ from .candidates import (
     CandidateSet,
     ScoredCandidate,
     _decimal,
-    _tokens_valid,
     validate,
 )
-from .errors import CdsError, EmptyInput
+from .errors import CdsError
 from .fusion import FusionResult, candidate_soups
-from .scoring import (
-    MAX_ORDER,
-    NGramScorer,
-    Scorer,
-    SelfScorer,
-    load_ngram,
-    npd_index,
-    npd_select,
-    rescore_set,
-    save_ngram,
-    train_ngram,
-)
+from .scoring import Scorer, SelfScorer, npd_index, npd_select, rescore_set
 
 IO = io.TextIOBase  # the text stream the annotations name; typing.IO would load typing
 
 _PREPARED = SelfScorer()  # reads the scores of a set that rescore_set has prepared
 
-# Only ``fuse --oracle-check`` calls these two, so no other command loads
-# ``lattice_oracle``.  ``cmd_fuse`` calls them through the module globals,
-# where ``perfbench``'s tracer patches them.
+# Only ``fuse --oracle-check`` calls the first two, so no other command loads
+# ``lattice_oracle``, and only an ``ngram:`` scorer calls ``load_ngram``, so
+# no other run loads ``ngram``.  The commands call all three through the
+# module globals, where ``perfbench``'s tracer patches them.
 
 
 def build_lattice(cset: CandidateSet):
@@ -81,6 +75,12 @@ def oracle_best(lattice) -> tuple[str, ...]:
     from . import lattice_oracle
 
     return lattice_oracle.oracle_best(lattice)
+
+
+def load_ngram(path: str):
+    from . import ngram
+
+    return ngram.load_ngram(path)
 
 
 class UsageError(Exception):
@@ -104,32 +104,10 @@ def _make_scorer(selector: str) -> Scorer:
             model = load_ngram(selector[len("ngram:") :])
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load --scorer model: {exc}") from None
+        from .ngram import NGramScorer
+
         return NGramScorer(model)
     raise UsageError(f"unknown scorer {selector!r}; expected 'self' or 'ngram:<model-path>'")
-
-
-def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
-    """An argparse type: an integer of ASCII digits in lo..hi (no bound above when hi is None)."""
-    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-
-    def parse(text: str) -> int:
-        value = _decimal(text)
-        if value is None or value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    """An argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 # ``compare`` sets up two BLEU accumulators per swept count before it reads
@@ -224,8 +202,7 @@ def _dump(obj: dict, out: IO) -> None:
         if _LONE_SURROGATE.search(text):
             raise CdsError("output would hold a lone surrogate, which is not valid UTF-8")
         text = text.translate(_LINE_BREAK_ESCAPES)
-    out.write(text)
-    out.write("\n")
+    out.write(text + "\n")  # one write: an unbuffered stream never shows a line without its end
 
 
 def _diagnostic(err: IO, line_no: int, message: str) -> None:
@@ -233,14 +210,14 @@ def _diagnostic(err: IO, line_no: int, message: str) -> None:
 
 
 @contextmanager
-def _input_lines(path: str, stdin: IO | None = None):
-    """Open ``path`` (``-``: ``stdin``, when given) and yield its numbered lines.
+def _input_lines(path: str, stdin: IO):
+    """Open ``path`` (``-``: ``stdin``) and yield its numbered lines.
 
     Each item is ``(line_no, line)``, counted from 1, with ``line`` None
     where the line is not valid UTF-8: that fails its own line, or stops a
     command that needs the whole input, never the read itself.
     """
-    if path == "-" and stdin is not None:
+    if path == "-":
         source = nullcontext(stdin)
     else:
         source = open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -339,90 +316,6 @@ def cmd_npd(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
     return _stream(args, stdin, stdout, stderr, output)
 
 
-def cmd_synth(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
-    from .synth import NoiseConfig, Vocabulary, generate_candidates
-
-    config = NoiseConfig(rng_seed=args.rng_seed)
-
-    # read once (the file may be a pipe): the corruption vocabulary needs
-    # every line before the first record is generated
-    with _input_lines(args.refs) as refs:
-        lines = list(refs)
-    texts = [line for _, line in lines if line is not None]  # None lines are reported below
-    vocab = Vocabulary(tok for text in texts for tok in text.split())  # prepared once
-    failed = False
-    for line_no, line in lines:
-        if line is None:
-            _diagnostic(stderr, line_no, "reference line is not valid UTF-8")
-            failed = True
-            continue
-        reference = tuple(line.split())
-        try:
-            cset = generate_candidates(reference, args.k, config, vocab, ident=str(line_no - 1))
-        except EmptyInput:
-            _diagnostic(stderr, line_no, "reference sentence is empty")
-            failed = True
-            continue
-        _dump(candidate_record(cset), stdout)
-    return 1 if failed else 0
-
-
-def _read_token_lines(path: str, stdin: IO | None = None) -> list[tuple[str, ...]]:
-    """Every line of ``path`` split into tokens; an invalid UTF-8 line stops the command."""
-    out = []
-    with _input_lines(path, stdin) as lines:
-        for line_no, line in lines:
-            if line is None:
-                raise _Stop(line_no, f"{path}: line is not valid UTF-8")
-            out.append(tuple(line.split()))
-    return out
-
-
-def _read_jsonl_outputs(path: str) -> list[tuple[str, ...]]:
-    """The ``output`` of every record in ``path``; a bad line stops the command."""
-    out = []
-    with _input_lines(path) as lines:
-        for line_no, line in lines:
-            if line is None:
-                raise _Stop(line_no, f"{path}: line is not valid UTF-8")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                output = json.loads(line)["output"]
-            except json.JSONDecodeError as exc:
-                raise _Stop(line_no, f"{path}: invalid JSON: {exc.msg}") from None
-            except (ValueError, RecursionError) as exc:
-                # an integer with more digits than int() converts, or nesting
-                # too deep for the decoder
-                raise _Stop(line_no, f"{path}: invalid JSON: {exc}") from None
-            except (KeyError, TypeError):
-                raise _Stop(line_no, f"{path}: record must be an object with 'output'") from None
-            if not isinstance(output, list) or not set(map(type, output)) <= {str}:
-                raise _Stop(line_no, f"{path}: 'output' must be a list of strings")
-            output = tuple(output)
-            # a token the text form could not hold would score as something else
-            if output and not _tokens_valid(output):
-                tok = next(t for t in output if not _tokens_valid((t,)))
-                raise _Stop(line_no, f"{path}: 'output' token {tok!r} must be a non-empty "
-                                     "string without whitespace")
-            out.append(output)
-    return out
-
-
-def cmd_bleu(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
-    from .bleu import corpus_bleu
-
-    hyps = _read_jsonl_outputs(args.hyp)
-    refs = _read_token_lines(args.ref)
-    if len(hyps) == len(refs):  # a count mismatch is reported first, as corpus_bleu does
-        for line_no, ref in enumerate(refs, start=1):
-            if not ref:
-                raise _Stop(line_no, f"{args.ref}: reference sentence is empty")
-    _dump(corpus_bleu(hyps, refs).to_json(), stdout)
-    return 0
-
-
 def _truncated(cset: CandidateSet, k: int) -> CandidateSet:
     """``cset`` cut to its first ``k`` candidates, for one ``--sweep-k`` row.
 
@@ -435,6 +328,8 @@ def _truncated(cset: CandidateSet, k: int) -> CandidateSet:
 
 
 def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> int:
+    if args.input == args.refs == "-":
+        raise UsageError("cds compare: input and --refs cannot both be '-' (stdin)")
     from .bleu import BleuAccumulator, Reference
 
     scorer = _make_scorer(args.scorer)
@@ -446,7 +341,7 @@ def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> 
     sentences = 0
     seen_ids: set[str] = set()
     with (
-        _input_lines(args.refs) as ref_lines,
+        _input_lines(args.refs, stdin) as ref_lines,
         _input_lines(args.input, stdin) as lines,
     ):
         for line_no, cset in _iter_records(lines, stderr):
@@ -514,29 +409,10 @@ def cmd_compare(args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO) -> 
     return 0
 
 
-def cmd_ngram_train(
-    args: argparse.Namespace, stdin: IO, stdout: IO, stderr: IO
-) -> int:
-    corpus = [tokens for tokens in _read_token_lines(args.corpus, stdin) if tokens]
-    model = train_ngram(corpus, n=args.order, alpha=args.alpha)
-    save_ngram(model, args.output)
-    stdout.write(
-        f"trained order-{model.order} model on {len(corpus)} sentences "
-        f"({len(model.vocabulary)} vocabulary entries) -> {args.output}\n"
-    )
-    return 0
-
-
 _SCORER_HELP = "'self' (keep stored scores) or 'ngram:<model-path>'"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cds",
-        description="Fuse scored candidate token sequences (and baselines) over JSON lines.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _fuse_parser(sub: argparse._SubParsersAction) -> None:
     fuse = sub.add_parser("fuse", help="fuse each candidate record into one sequence")
     fuse.add_argument("input", nargs="?", default="-", help="JSONL records ('-' for stdin)")
     fuse.add_argument("--scorer", default="self", help=_SCORER_HELP)
@@ -548,22 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuse.set_defaults(handler=cmd_fuse)
 
+
+def _npd_parser(sub: argparse._SubParsersAction) -> None:
     npd = sub.add_parser("npd", help="keep the best whole candidate per record")
     npd.add_argument("input", nargs="?", default="-")
     npd.add_argument("--scorer", default="self", help=_SCORER_HELP)
     npd.set_defaults(handler=cmd_npd)
 
-    synth = sub.add_parser("synth", help="generate candidate records from reference sentences")
-    synth.add_argument("refs", help="one whitespace-tokenized sentence per line")
-    synth.add_argument("--k", type=_int_in(1), default=5, help="candidates per sentence")
-    synth.add_argument("--seed", dest="rng_seed", type=int, default=0)
-    synth.set_defaults(handler=cmd_synth)
 
-    bleu = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against references")
-    bleu.add_argument("hyp", help="hypotheses: JSONL records' 'output' lists, as fuse writes")
-    bleu.add_argument("ref", help="references: one tokenized sentence per line")
-    bleu.set_defaults(handler=cmd_bleu)
-
+def _compare_parser(sub: argparse._SubParsersAction) -> None:
     compare = sub.add_parser(
         "compare", help="per-method corpus BLEU (single / npd / cds) plus fusion timing"
     )
@@ -580,13 +449,33 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", action="store_true", help="emit the summary as one JSON object")
     compare.set_defaults(handler=cmd_compare)
 
-    train = sub.add_parser("ngram-train", help="train and persist an n-gram scorer model")
-    train.add_argument("corpus", help="tokenized text, one sentence per line ('-' for stdin)")
-    train.add_argument("-o", "--output", required=True)
-    train.add_argument("--order", type=_int_in(1, MAX_ORDER), default=3)
-    train.add_argument("--alpha", type=_positive_float, default=0.1)
-    train.set_defaults(handler=cmd_ngram_train)
 
+# every command in ``cds -h``'s order, with the function that adds its
+# parser; None marks a corpus command, whose parser ``cli_corpus`` adds
+_PARSERS = {
+    "fuse": _fuse_parser,
+    "npd": _npd_parser,
+    "synth": None,
+    "bleu": None,
+    "compare": _compare_parser,
+    "ngram-train": None,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cds`` parser: with only ``command``'s parser when it names one, else all six."""
+    parser = _Parser(
+        prog="cds",
+        description="Fuse scored candidate token sequences (and baselines) over JSON lines.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command in _PARSERS else _PARSERS:
+        add = _PARSERS[name]
+        if add is None:
+            from . import cli_corpus
+
+            add = cli_corpus.PARSERS[name]
+        add(sub)
     return parser
 
 
@@ -606,8 +495,10 @@ def main(
     stdin = stdin if stdin is not None else _utf8(sys.stdin, "surrogateescape")
     stdout = stdout if stdout is not None else _utf8(sys.stdout, "surrogateescape")
     stderr = stderr if stderr is not None else _utf8(sys.stderr, "backslashreplace")
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # the first argument names the command, unless it is -h or unknown
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.handler(args, stdin, stdout, stderr)
     except UsageError as exc:
         _diagnostic(stderr, 0, str(exc))

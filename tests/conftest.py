@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import Phase, settings
 
-from candidate_soups import scoring
+from candidate_soups import ngram
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import random_references, word_vocab
 
@@ -47,13 +47,13 @@ def quality_corpus():
 
 @pytest.fixture
 def ngram_score_calls(monkeypatch):
-    """The token tuples ``scoring.ngram_score`` is called with, in call order."""
+    """The token tuples ``ngram.ngram_score`` is called with, in call order."""
     calls = []
-    original = scoring.ngram_score
+    original = ngram.ngram_score
 
     def counting(model, tokens, score_floor):
         calls.append(tuple(tokens))
         return original(model, tokens, score_floor)
 
-    monkeypatch.setattr(scoring, "ngram_score", counting)
+    monkeypatch.setattr(ngram, "ngram_score", counting)
     return calls

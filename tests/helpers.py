@@ -24,7 +24,7 @@ from candidate_soups.errors import (
 )
 from candidate_soups.fusion import RegionChoice, select_segment
 from candidate_soups.lattice_oracle import SimplifiedLattice, path_count
-from candidate_soups.scoring import START_SYMBOL, NGramModel
+from candidate_soups.ngram import START_SYMBOL, NGramModel
 from candidate_soups.synth import NoiseConfig
 
 # the channel with every rate at 0: each candidate is its reference, scores aside

@@ -19,6 +19,7 @@ from candidate_soups import (
     bleu,
     candidate_soups,
     cli,
+    cli_corpus,
     corpus_bleu,
     fusion,
     lattice_oracle,
@@ -28,7 +29,8 @@ from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.cli import candidate_record, main, parse_candidate_record
 from candidate_soups.errors import ScorerFailure
 from candidate_soups.fusion import RegionChoice
-from candidate_soups.scoring import MAX_ORDER, SelfScorer, rescore_set
+from candidate_soups.ngram import MAX_ORDER
+from candidate_soups.scoring import SelfScorer, rescore_set
 from candidate_soups.synth import NoiseConfig, generate_corpus
 from helpers import (
     CROSS_ERROR_FUSED,
@@ -819,6 +821,88 @@ class TestNgramTrain:
         assert not model_path.exists()
 
 
+class TestDashReadsStdin:
+    """``-`` names stdin in every file argument, and only one input may be ``-``."""
+
+    def test_bleu_hypotheses_from_stdin(self, tmp_path):
+        # `cds fuse records.jsonl | cds bleu - refs.txt` used to fail with
+        # "[Errno 2] No such file or directory: '-'"
+        _, fused, _ = run(["fuse"], cross_error_line())
+        ref = tmp_path / "ref.txt"
+        ref.write_text(" ".join(CROSS_ERROR_FUSED) + "\n")
+        proc = run_module(["bleu", "-", str(ref)], fused.encode())
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert json.loads(proc.stdout)["bleu"] == 100.0
+
+    def test_bleu_references_from_stdin(self, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(hypotheses("a b c d", "e f"))
+        refs = "a b c d e\ne f g\n"
+        (tmp_path / "ref.txt").write_text(refs)
+        from_file = run(["bleu", str(hyp), str(tmp_path / "ref.txt")])
+        assert from_file[0] == 0
+        assert run(["bleu", str(hyp), "-"], refs) == from_file
+
+    def test_synth_references_from_stdin(self, tmp_path):
+        refs = "alpha beta gamma delta\n\nepsilon zeta beta\n"
+        (tmp_path / "refs.txt").write_text(refs)
+        from_file = run(["synth", str(tmp_path / "refs.txt"), "--k", "3", "--seed", "2"])
+        assert from_file[0] == 1 and len(from_file[1].splitlines()) == 2  # line 2 is empty
+        assert run(["synth", "-", "--k", "3", "--seed", "2"], refs) == from_file
+
+    def test_compare_references_from_stdin(self, tmp_path):
+        refs, records = TestCompare().make_corpus(tmp_path)
+        (tmp_path / "records.jsonl").write_text(records)
+        argv = ["compare", str(tmp_path / "records.jsonl"), "--json", "--refs"]
+        code, out, err = run([*argv, "-"], refs.read_text())
+        assert code == 0 and err == ""
+        want = json.loads(run([*argv, str(refs)])[1])
+        got = json.loads(out)
+        assert {**got, "mean_fusion_ms": 0} == {**want, "mean_fusion_ms": 0}
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bleu", "-", "-"], "hyp and ref"),
+            (["compare", "--refs", "-"], "input and --refs"),  # input defaults to '-'
+            (["compare", "-", "--refs", "-", "--scorer", "bogus"], "input and --refs"),
+        ],
+        ids=["bleu", "compare-default-input", "compare"],
+    )
+    def test_two_stdin_inputs_are_a_usage_error(self, argv, named):
+        stdin, out, err = io.StringIO("a b\n"), io.StringIO(), io.StringIO()
+        assert main(argv, stdin=stdin, stdout=out, stderr=err) == 2
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line) == {
+            "line": 0, "error": f"cds {argv[0]}: {named} cannot both be '-' (stdin)"
+        }
+        assert stdin.read() == "a b\n"  # no input was read
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_each_output_line_is_one_write():
+    # unbuffered (PYTHONUNBUFFERED=1), each write is a system call, so a line
+    # written in two parts could be seen without its newline
+    lines = [record_line(["a", "b"], [-0.1, -0.2]), "not json", record_line(["c"], [-50.0])]
+    out, err = _CountingStream(), _CountingStream()
+    code = main(["fuse"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out, stderr=err)
+    assert code == 1
+    assert out.writes == len(out.getvalue().splitlines()) == 2  # two records
+    assert err.writes == len(err.getvalue().splitlines()) == 2  # the bad line, the clamp warning
+
+
 class TestWireFormat:
     def test_roundtrip_preserves_full_precision(self):
         scores = [-0.1234567890123456, -1e-300, -2.999999999999999]
@@ -1068,7 +1152,7 @@ def test_sweep_k_bound_is_inclusive():
 
 
 def test_order_bound_is_inclusive():
-    assert cli._int_in(1, MAX_ORDER)(str(MAX_ORDER)) == MAX_ORDER
+    assert cli_corpus._int_in(1, MAX_ORDER)(str(MAX_ORDER)) == MAX_ORDER
 
 
 # every value a command takes, 20 in all: a new option is a decision to change this table

@@ -14,7 +14,7 @@ from candidate_soups.alignment import AlignedPartition, Anchor, DivergenceRegion
 from candidate_soups.bleu import BleuReport
 from candidate_soups.fusion import RegionChoice
 from candidate_soups.lattice_oracle import SimplifiedLattice
-from candidate_soups.scoring import NGramModel
+from candidate_soups.ngram import NGramModel
 from candidate_soups.synth import NoiseConfig, Vocabulary
 
 SC = ScoredCandidate(("a", "b"), (0.0, -1.0))

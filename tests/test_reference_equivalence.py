@@ -65,17 +65,15 @@ from candidate_soups.candidates import DEFAULT_SCORE_FLOOR, remove_adjacent_dupl
 from candidate_soups.cli import _truncated
 from candidate_soups.errors import EmptyCandidate, InvalidToken, LengthMismatch, PositiveScore
 from candidate_soups.fusion import select_segment
-from candidate_soups.scoring import (
+from candidate_soups.ngram import (
     END_SYMBOL,
     START_SYMBOL,
     NGramScorer,
-    Scorer,
-    SelfScorer,
     load_ngram,
     ngram_score,
-    rescore_set,
     save_ngram,
 )
+from candidate_soups.scoring import Scorer, SelfScorer, rescore_set
 from helpers import (
     random_candidate_set,
     reference_bleu_add,

@@ -19,14 +19,8 @@ from candidate_soups import (
 from candidate_soups.candidates import remove_adjacent_duplicates
 from candidate_soups.errors import EmptyInput, ScorerFailure
 from candidate_soups.fusion import candidate_soups
-from candidate_soups.scoring import (
-    END_SYMBOL,
-    MAX_ORDER,
-    START_SYMBOL,
-    ngram_score,
-    rescore_set,
-    save_ngram,
-)
+from candidate_soups.ngram import END_SYMBOL, MAX_ORDER, START_SYMBOL, ngram_score, save_ngram
+from candidate_soups.scoring import rescore_set
 from helpers import cross_error_set, random_candidate_set
 
 ALPHA = 0.1

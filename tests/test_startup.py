@@ -10,6 +10,8 @@ it runs from loading modules (``typing``, say) that would hide a command's
 own import of them.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -19,10 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from candidate_soups import cli
+from candidate_soups.ngram import save_ngram, train_ngram
 from helpers import CROSS_ERROR_FUSED, CROSS_ERROR_SCORES, CROSS_ERROR_TOKENS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NEVER = {"logging", "dataclasses", "typing", "candidate_soups.synth"}
+NGRAM, CORPUS = "candidate_soups.ngram", "candidate_soups.cli_corpus"
 IMPORT_LINE = re.compile(r"^import '([^']+)'", re.MULTILINE)
 
 
@@ -75,8 +80,53 @@ def test_command_loads_only_what_it_runs(bare, tmp_path, argv, uses):
     loaded = names - bare
     assert "candidate_soups.cli" in loaded  # the run was seen at all
     assert not loaded & NEVER
-    optional = {"candidate_soups.lattice_oracle", "candidate_soups.bleu"}
+    optional = {"candidate_soups.lattice_oracle", "candidate_soups.bleu", NGRAM, CORPUS}
     assert loaded & optional == uses
+
+
+def test_fuse_with_a_model_loads_the_model_code(bare, tmp_path):
+    save_ngram(train_ngram([CROSS_ERROR_FUSED], n=2), str(tmp_path / "m.ngram"))
+    fuse = ["fuse", "--scorer", "ngram:m.ngram"]
+    names, code = imported(["-m", "candidate_soups", *fuse], one_record(tmp_path), cwd=tmp_path)
+    assert code == 0
+    assert (names - bare) & {NGRAM, CORPUS} == {NGRAM}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "refs.txt"], ["bleu", "hyp.jsonl", "refs.txt"], ["ngram-train", "refs.txt", "-o", "m"]],
+    ids=["synth", "bleu", "ngram-train"],
+)
+def test_corpus_commands_load_their_module(bare, tmp_path, argv):
+    (tmp_path / "refs.txt").write_text("a b c\n")
+    (tmp_path / "hyp.jsonl").write_text(json.dumps({"output": ["a", "b"]}) + "\n")
+    names, code = imported(["-m", "candidate_soups", *argv], cwd=tmp_path)
+    assert code == 0
+    loaded = names - bare
+    assert CORPUS in loaded
+    assert (NGRAM in loaded) == (argv[0] == "ngram-train")
+
+
+def help_text(parse, argv):
+    """What ``parse(argv)`` writes to stdout before argparse's help exits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        parse(argv)
+    assert stop.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli._PARSERS))
+def test_command_help_equals_the_full_parsers(command):
+    # main builds only the named command's parser; its help must not change
+    alone = help_text(cli.main, [command, "--help"])
+    assert alone.startswith(f"usage: cds {command} ")
+    assert alone == help_text(cli.build_parser().parse_args, [command, "--help"])
+
+
+def test_top_level_help_lists_every_command():
+    text = help_text(cli.main, ["-h"])
+    assert "{fuse,npd,synth,bleu,compare,ngram-train}" in text
 
 
 def test_synth_loads_only_what_it_runs(bare, tmp_path):
