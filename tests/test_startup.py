@@ -116,17 +116,20 @@ def help_text(parse, argv):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("command", list(cli._PARSERS))
+def main_help(argv):
+    return help_text(lambda a: cli.main(a, io.StringIO(), io.StringIO(), io.StringIO()), argv)
+
+
+@pytest.mark.parametrize("command", ["fuse", "npd", "synth", "bleu", "compare", "ngram-train"])
 def test_command_help_equals_the_full_parsers(command):
     # main builds only the named command's parser; its help must not change
-    alone = help_text(cli.main, [command, "--help"])
+    alone = main_help([command, "--help"])
     assert alone.startswith(f"usage: cds {command} ")
     assert alone == help_text(cli.build_parser().parse_args, [command, "--help"])
 
 
 def test_top_level_help_lists_every_command():
-    text = help_text(cli.main, ["-h"])
-    assert "{fuse,npd,synth,bleu,compare,ngram-train}" in text
+    assert "{fuse,npd,synth,bleu,compare,ngram-train}" in main_help(["-h"])
 
 
 def test_synth_loads_only_what_it_runs(bare, tmp_path):
