@@ -27,10 +27,10 @@ only on its arguments and input bytes.  Output is strict JSON (no NaN or
 Infinity) in valid UTF-8.
 
 A process compiles and builds only what its command runs: ``main`` builds
-the parser of the one command it is given (all six for ``-h`` or an unknown
-command), ``synth``, ``bleu`` and ``ngram-train`` live in ``cli_corpus``,
-and ``bleu``, ``lattice_oracle``, ``ngram`` and ``synth`` load only in the
-commands that run them.
+the parser of the one command it is given (all six for ``-h``, a missing or
+an unknown command), ``synth``, ``bleu`` and ``ngram-train`` live in
+``cli_corpus``, and ``bleu``, ``lattice_oracle``, ``ngram`` and ``synth``
+load only in the commands that run them.
 """
 
 from __future__ import annotations
